@@ -194,7 +194,9 @@ func run(ctx context.Context, addr string, cfg service.Config, enablePprof bool,
 	case <-ctx.Done():
 	}
 	logger.Printf("shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.MaxTimeout)
+	// Grace for in-flight requests: the service's normalised MaxTimeout, so
+	// an unset field still gets the default rather than no grace at all.
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), svc.MaxTimeout())
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return err

@@ -101,22 +101,32 @@ func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(wor
 // MPI libraries.
 const RabenseifnerThresholdBytes = 32768
 
-// selectAllreduceSchedule picks the compiled reduction program for p ranks
-// and an n-byte buffer under the tuning's threshold: the Rabenseifner
+// allreduceBuilder picks the allreduce family builder for p ranks and an
+// n-byte buffer under the tuning's threshold — the Rabenseifner
 // reduce-scatter + allgather for large buffers on power-of-two communicators
-// whose buffer divides into p blocks, and the binomial reduce + broadcast
-// tree otherwise.
-func (t Tuning) selectAllreduceSchedule(p, n int) (*sched.Schedule, string, error) {
+// whose buffer divides into p blocks, the binomial reduce + broadcast tree
+// otherwise — and the label its executions are traced and counted under.
+func (t Tuning) allreduceBuilder(p, n int) (builder, label string) {
 	threshold := t.RabenseifnerThreshold
 	if threshold <= 0 {
 		threshold = RabenseifnerThresholdBytes
 	}
 	if p > 1 && p&(p-1) == 0 && n%p == 0 && n >= threshold {
-		s, err := sched.ReduceScatterAllgather(p)
-		return s, "rabenseifner", err
+		return "reduce-scatter-allgather", "rabenseifner"
 	}
-	s, err := sched.BinomialReduceBroadcast(p)
-	return s, "allreduce", err
+	return "allreduce", "allreduce"
+}
+
+// allreduceProgram resolves the hand-coded allreduce selection to its cached
+// compiled program by recipe.
+func (t Tuning) allreduceProgram(p, n int) (*sched.Program, string, error) {
+	builder, label := t.allreduceBuilder(p, n)
+	fam, err := sched.FamilyAllreduce.Desc()
+	if err != nil {
+		return nil, "", err
+	}
+	prog, err := fam.BuildCached(builder, p)
+	return prog, label, err
 }
 
 // Allreduce combines buf in place across all ranks. The world's synthesized
@@ -137,11 +147,7 @@ func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 			return ExecuteAllreduce(c, prog, buf, op)
 		})
 	}
-	s, label, err := configOf(c).Tuning.selectAllreduceSchedule(c.Size(), len(buf))
-	if err != nil {
-		return err
-	}
-	prog, err := sched.CompileCached(s)
+	prog, label, err := configOf(c).Tuning.allreduceProgram(c.Size(), len(buf))
 	if err != nil {
 		return err
 	}

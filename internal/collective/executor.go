@@ -31,34 +31,17 @@ const tagSchedule = 9 << 20
 
 // scheduleProgram resolves a flat allgather algorithm to its cached compiled
 // program through the family registry: Algorithm.String() is exactly the
-// registered builder name, so the registry's Builders map replaces the old
-// per-algorithm switch.
+// registered builder name, so the lookup is keyed by recipe and a warm call
+// builds, hashes and allocates nothing.
 func scheduleProgram(alg Algorithm, p int) (*sched.Program, error) {
 	if alg == AlgAuto {
 		return nil, fmt.Errorf("collective: no schedule for algorithm %v", alg)
 	}
-	var s *sched.Schedule
-	var err error
-	if alg == AlgNeighborExchange && p == 1 {
-		// Degenerate single-rank schedule: structurally Ring(1) (zero
-		// stages), but named for the algorithm the caller resolved so that
-		// schedule_* metrics and the allgather/neighbor-exchange trace span
-		// agree. The name participates in the schedule fingerprint, so the
-		// cache keeps it distinct from ring proper.
-		if s, err = sched.Ring(1); err == nil {
-			s.Name = "neighbor-exchange"
-		}
-	} else {
-		fam, ferr := sched.FamilyAllgather.Desc()
-		if ferr != nil {
-			return nil, ferr
-		}
-		return fam.BuildCached(alg.String(), p)
-	}
+	fam, err := sched.FamilyAllgather.Desc()
 	if err != nil {
 		return nil, err
 	}
-	return sched.CompileCached(s)
+	return fam.BuildCached(alg.String(), p)
 }
 
 // execMetrics bundles the resolved per-algorithm metric handles of the

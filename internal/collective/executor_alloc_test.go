@@ -187,3 +187,57 @@ var (
 		make([]byte, 4*64), make([]byte, 4*64), make([]byte, 4*64), make([]byte, 4*64),
 	}
 )
+
+// TestFrontDoorProgramWarmAllocs pins every rule-selected front door's
+// program resolution to the recipe-keyed compile cache: once warm, the
+// allgather (scheduleProgram, which Allgather, Reordered.Allgather and
+// runFlat share), allreduce and all-to-all (baselineProgram, shared by
+// Alltoall and Reordered.Alltoall) selections allocate nothing — so they
+// neither build a schedule nor fingerprint one — and count only cache hits.
+func TestFrontDoorProgramWarmAllocs(t *testing.T) {
+	const p = 64
+	tuning := DefaultTuning()
+	lookups := []struct {
+		name    string
+		resolve func() (*sched.Program, error)
+	}{
+		{"allgather/recursive-doubling", func() (*sched.Program, error) { return scheduleProgram(AlgRecursiveDoubling, p) }},
+		{"allgather/ring", func() (*sched.Program, error) { return scheduleProgram(AlgRing, p) }},
+		{"allgather/neighbor-exchange p=1", func() (*sched.Program, error) { return scheduleProgram(AlgNeighborExchange, 1) }},
+		{"allreduce/rabenseifner", func() (*sched.Program, error) {
+			prog, _, err := tuning.allreduceProgram(p, 65536)
+			return prog, err
+		}},
+		{"allreduce/tree", func() (*sched.Program, error) {
+			prog, _, err := tuning.allreduceProgram(p, 1024)
+			return prog, err
+		}},
+		{"alltoall/bruck", func() (*sched.Program, error) { return baselineProgram(sched.FamilyAlltoall, p, p*1024) }},
+		{"alltoall/pairwise", func() (*sched.Program, error) { return baselineProgram(sched.FamilyAlltoall, p, p*4096) }},
+	}
+	for _, l := range lookups {
+		want, err := l.resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		h0, m0 := sched.CompileCacheCounters()
+		var got *sched.Program
+		allocs := testing.AllocsPerRun(50, func() {
+			got, err = l.resolve()
+		})
+		h1, m1 := sched.CompileCacheCounters()
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: warm lookup returned a distinct program", l.name)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: warm lookup allocates %.1f times, want 0", l.name, allocs)
+		}
+		// AllocsPerRun runs the function once more than it averages over.
+		if m1 != m0 || h1-h0 != 51 {
+			t.Errorf("%s: warm lookups counted %d hits and %d misses, want 51 and 0", l.name, h1-h0, m1-m0)
+		}
+	}
+}

@@ -42,6 +42,20 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 				}
 			}
 		})
+		// RecipeWarm is the front doors' lookup: keyed by recipe, so it
+		// skips the build and the fingerprint CompileWarm still pays.
+		b.Run(fmt.Sprintf("RecipeWarm/p%d", p), func(b *testing.B) {
+			if _, err := scheduleProgram(AlgRing, p); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := scheduleProgram(AlgRing, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 
 	// SteadyState isolates the executor step loop from world construction:

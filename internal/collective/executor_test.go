@@ -192,7 +192,7 @@ func TestAllreduceSelection(t *testing.T) {
 		{1, RabenseifnerThresholdBytes, "allreduce"},     // single rank
 	}
 	for _, tc := range cases {
-		_, label, err := DefaultTuning().selectAllreduceSchedule(tc.p, tc.n)
+		_, label, err := DefaultTuning().allreduceProgram(tc.p, tc.n)
 		if err != nil {
 			t.Fatalf("p=%d n=%d: %v", tc.p, tc.n, err)
 		}

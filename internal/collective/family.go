@@ -87,9 +87,9 @@ func tracedExecute(c *mpi.Comm, famName, progName string, run func() error) erro
 	return run()
 }
 
-// baselineProgram compiles the family's hand-coded baseline selection for p
-// ranks at the given payload through the registry — the front doors' shared
-// fallback when the synth table misses.
+// baselineProgram resolves the family's hand-coded baseline selection for p
+// ranks at the given payload to its cached program by recipe — the front
+// doors' shared fallback when the synth table misses.
 func baselineProgram(f sched.FamilyID, p, payloadBytes int) (*sched.Program, error) {
 	fam, err := f.Desc()
 	if err != nil {

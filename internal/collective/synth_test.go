@@ -143,9 +143,9 @@ func TestBaselineMatchesFrontDoor(t *testing.T) {
 				t.Errorf("allgather p=%d n=%d: BaselineRecipe=%q, front door=%q", p, n, got, want)
 			}
 			// Allreduce: map the front door's label onto the recipe space.
-			_, label, err := DefaultTuning().selectAllreduceSchedule(p, n)
+			_, label, err := DefaultTuning().allreduceProgram(p, n)
 			if err != nil {
-				t.Fatalf("selectAllreduceSchedule(%d, %d): %v", p, n, err)
+				t.Fatalf("allreduceProgram(%d, %d): %v", p, n, err)
 			}
 			want = "allreduce"
 			if label == "rabenseifner" {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 	"sync"
 
 	"repro/internal/metrics"
@@ -35,42 +36,37 @@ func init() {
 // topology does not enter the key; order-preservation prologues do change
 // the Pre stages and therefore the fingerprint.
 func Fingerprint(s *Schedule) string {
-	h := sha256.New()
-	var buf [8]byte
-	word := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	h.Write([]byte(s.Name))
-	h.Write([]byte{0})
-	word(int64(s.P))
-	word(int64(s.NumBlocks()))
-	word(int64(s.Root))
-	word(int64(s.Init))
-	word(int64(s.PostCopyBlocks))
+	f := fingerprinter{h: sha256.New()}
+	f.str(s.Name)
+	f.put(0)
+	f.word(int64(s.P))
+	f.word(int64(s.NumBlocks()))
+	f.word(int64(s.Root))
+	f.word(int64(s.Init))
+	f.word(int64(s.PostCopyBlocks))
 	section := func(stages []Stage, marker byte) {
-		h.Write([]byte{marker})
-		word(int64(len(stages)))
+		f.put(marker)
+		f.word(int64(len(stages)))
 		for i := range stages {
 			st := &stages[i]
-			word(int64(st.repeats()))
+			f.word(int64(st.repeats()))
 			reduce := byte(0)
 			if st.Reduce {
 				reduce = 1
 			}
-			h.Write([]byte{reduce})
-			word(int64(len(st.Transfers)))
+			f.put(reduce)
+			f.word(int64(len(st.Transfers)))
 			for _, tr := range st.Transfers {
-				word(int64(tr.Src))
-				word(int64(tr.Dst))
-				word(int64(tr.First))
-				word(int64(tr.N))
-				word(int64(tr.Mode))
+				f.word(int64(tr.Src))
+				f.word(int64(tr.Dst))
+				f.word(int64(tr.First))
+				f.word(int64(tr.N))
+				f.word(int64(tr.Mode))
 				if tr.Mode == List {
 					// Only List transfers hash their block list, so every
 					// pre-existing schedule keeps its fingerprint.
 					for _, b := range tr.Blocks {
-						word(int64(b))
+						f.word(int64(b))
 					}
 				}
 			}
@@ -78,39 +74,183 @@ func Fingerprint(s *Schedule) string {
 	}
 	section(s.Pre, 'p')
 	section(s.Stages, 'm')
-	return hex.EncodeToString(h.Sum(nil))
+	return f.sum()
+}
+
+// fingerprinter stages Fingerprint's byte stream in a 4 KiB buffer and
+// hands SHA-256 whole chunks: the digest sees exactly the bytes one Write
+// per field would feed it, without a Write call per 8-byte word.
+type fingerprinter struct {
+	h   hash.Hash
+	n   int
+	buf [4096]byte
+}
+
+func (f *fingerprinter) flush() {
+	f.h.Write(f.buf[:f.n])
+	f.n = 0
+}
+
+func (f *fingerprinter) put(b byte) {
+	if f.n == len(f.buf) {
+		f.flush()
+	}
+	f.buf[f.n] = b
+	f.n++
+}
+
+func (f *fingerprinter) word(v int64) {
+	if f.n+8 > len(f.buf) {
+		f.flush()
+	}
+	binary.LittleEndian.PutUint64(f.buf[f.n:], uint64(v))
+	f.n += 8
+}
+
+func (f *fingerprinter) str(s string) {
+	for len(s) > 0 {
+		if f.n == len(f.buf) {
+			f.flush()
+		}
+		c := copy(f.buf[f.n:], s)
+		f.n += c
+		s = s[c:]
+	}
+}
+
+func (f *fingerprinter) sum() string {
+	f.flush()
+	return hex.EncodeToString(f.h.Sum(nil))
 }
 
 // compileCacheCap bounds the cache; the working set of a figure run (a few
-// algorithms x a few mappings) fits comfortably.
+// algorithms x a few mappings) fits comfortably. It counts programs, not
+// keys: a program reachable by its fingerprint and by recipes is one entry.
 const compileCacheCap = 64
 
-type cacheEntry struct {
-	key  string
-	prog *Program
+// recipeKey names a base schedule by how it is built rather than by what it
+// contains: family, registered builder name and rank count. Builders are
+// deterministic, so a recipe determines its schedule — and hence its
+// fingerprint — and a warm lookup needs neither the build nor the hash.
+type recipeKey struct {
+	family  FamilyID
+	builder string
+	p       int
 }
 
+type cacheEntry struct {
+	key     string      // schedule fingerprint
+	recipes []recipeKey // recipe keys aliased to this program
+	prog    *Program
+}
+
+// recipeCall is one in-flight recipe miss. Concurrent lookups of the same
+// recipe wait for it instead of building and hashing the schedule again.
+type recipeCall struct {
+	done chan struct{}
+	prog *Program
+	err  error
+}
+
+// compileCache is the one process-wide program cache. A program enters it
+// under its schedule fingerprint; recipe keys alias fingerprint entries, so
+// both key kinds share one executable view and one LRU slot.
 var compileCache = struct {
-	mu    sync.Mutex
-	ll    *list.List
-	byKey map[string]*list.Element
-}{ll: list.New(), byKey: make(map[string]*list.Element)}
+	mu       sync.Mutex
+	ll       *list.List
+	byKey    map[string]*list.Element
+	byRecipe map[recipeKey]*list.Element
+	inflight map[recipeKey]*recipeCall
+}{
+	ll:       list.New(),
+	byKey:    make(map[string]*list.Element),
+	byRecipe: make(map[recipeKey]*list.Element),
+	inflight: make(map[recipeKey]*recipeCall),
+}
 
 // CompileCached compiles s through a bounded process-wide LRU keyed by the
 // schedule fingerprint, so repeated collectives (and repeated pricings of
 // the same schedule shape) reuse one Program — including its lazily built
-// executable view. Compilation errors are not cached.
+// executable view. Compilation errors are not cached. Schedules built from a
+// registered recipe are cheaper to look up through Family.BuildCached, which
+// skips the build and the hash once warm.
 func CompileCached(s *Schedule) (*Program, error) {
 	key := Fingerprint(s)
 	compileCache.mu.Lock()
 	if e, ok := compileCache.byKey[key]; ok {
-		compileCache.ll.MoveToFront(e)
-		prog := e.Value.(*cacheEntry).prog
+		prog := touch(e)
 		compileCache.mu.Unlock()
 		scheduleCacheHits.Inc()
 		return prog, nil
 	}
 	compileCache.mu.Unlock()
+	return compileInto(s, key, nil)
+}
+
+// compileRecipe returns the program for key, building its schedule with
+// build (the family's registered builder for key.builder) only on a miss.
+// Every lookup counts exactly one cache hit or miss; a miss is a fresh
+// compile, and a lookup that shares an in-flight or already-compiled
+// program counts a hit.
+func compileRecipe(key recipeKey, build Builder) (*Program, error) {
+	compileCache.mu.Lock()
+	if e, ok := compileCache.byRecipe[key]; ok {
+		prog := touch(e)
+		compileCache.mu.Unlock()
+		scheduleCacheHits.Inc()
+		return prog, nil
+	}
+	if call, ok := compileCache.inflight[key]; ok {
+		compileCache.mu.Unlock()
+		<-call.done
+		if call.err != nil {
+			scheduleCacheMisses.Inc()
+		} else {
+			scheduleCacheHits.Inc()
+		}
+		return call.prog, call.err
+	}
+	call := &recipeCall{done: make(chan struct{})}
+	compileCache.inflight[key] = call
+	compileCache.mu.Unlock()
+
+	call.prog, call.err = resolveRecipe(key, build)
+
+	compileCache.mu.Lock()
+	delete(compileCache.inflight, key)
+	compileCache.mu.Unlock()
+	close(call.done)
+	return call.prog, call.err
+}
+
+// resolveRecipe serves a recipe miss: build the schedule once, fingerprint
+// it, resolve it through the fingerprint entry (compiling only when that
+// misses too), and alias the recipe key to the resulting program.
+func resolveRecipe(key recipeKey, build Builder) (*Program, error) {
+	s, err := build(key.p)
+	if err != nil {
+		scheduleCacheMisses.Inc()
+		return nil, err
+	}
+	fp := Fingerprint(s)
+	compileCache.mu.Lock()
+	if e, ok := compileCache.byKey[fp]; ok {
+		alias(e, key)
+		prog := touch(e)
+		compileCache.mu.Unlock()
+		scheduleCacheHits.Inc()
+		return prog, nil
+	}
+	compileCache.mu.Unlock()
+	return compileInto(s, fp, &key)
+}
+
+// compileInto compiles s, counts the miss, and installs the program under
+// its fingerprint fp (and recipe, when non-nil), evicting least recently
+// used programs — with all their keys — past the cap. When a concurrent
+// caller installed fp first, its program is shared instead, so the
+// executable view is built only once.
+func compileInto(s *Schedule, fp string, recipe *recipeKey) (*Program, error) {
 	scheduleCacheMisses.Inc()
 	prog, err := Compile(s)
 	if err != nil {
@@ -118,27 +258,49 @@ func CompileCached(s *Schedule) (*Program, error) {
 	}
 	compileCache.mu.Lock()
 	defer compileCache.mu.Unlock()
-	if e, ok := compileCache.byKey[key]; ok {
-		// A concurrent caller compiled the same schedule first; share its
-		// program so the executable view is built only once.
-		compileCache.ll.MoveToFront(e)
-		return e.Value.(*cacheEntry).prog, nil
+	e, ok := compileCache.byKey[fp]
+	if !ok {
+		e = compileCache.ll.PushFront(&cacheEntry{key: fp, prog: prog})
+		compileCache.byKey[fp] = e
 	}
-	compileCache.byKey[key] = compileCache.ll.PushFront(&cacheEntry{key: key, prog: prog})
+	if recipe != nil {
+		alias(e, *recipe)
+	}
 	for compileCache.ll.Len() > compileCacheCap {
 		oldest := compileCache.ll.Back()
 		compileCache.ll.Remove(oldest)
-		delete(compileCache.byKey, oldest.Value.(*cacheEntry).key)
+		ent := oldest.Value.(*cacheEntry)
+		delete(compileCache.byKey, ent.key)
+		for _, r := range ent.recipes {
+			delete(compileCache.byRecipe, r)
+		}
 	}
-	return prog, nil
+	return touch(e), nil
 }
 
-// ResetCompileCache empties the cache (cold-compile benchmarks and tests).
+// touch marks e most recently used and returns its program. The caller
+// holds compileCache.mu.
+func touch(e *list.Element) *Program {
+	compileCache.ll.MoveToFront(e)
+	return e.Value.(*cacheEntry).prog
+}
+
+// alias makes key a second name for e's program. The caller holds
+// compileCache.mu.
+func alias(e *list.Element, key recipeKey) {
+	ent := e.Value.(*cacheEntry)
+	ent.recipes = append(ent.recipes, key)
+	compileCache.byRecipe[key] = e
+}
+
+// ResetCompileCache empties the cache — fingerprint and recipe keys alike —
+// for cold-compile benchmarks and tests.
 func ResetCompileCache() {
 	compileCache.mu.Lock()
 	defer compileCache.mu.Unlock()
 	compileCache.ll = list.New()
 	compileCache.byKey = make(map[string]*list.Element)
+	compileCache.byRecipe = make(map[recipeKey]*list.Element)
 }
 
 // CompileCacheCounters returns the cumulative hit and miss counts.

@@ -82,14 +82,17 @@ func (f *Family) Build(name string, p int) (*Schedule, error) {
 	return b(p)
 }
 
-// BuildCached constructs the named base schedule and compiles it through the
-// process-wide schedule cache — the form runtime front doors consume.
+// BuildCached returns the compiled named base schedule over p ranks — the
+// form runtime front doors consume. The process-wide schedule cache is keyed
+// by the recipe (family, builder, p), so a warm lookup builds nothing,
+// hashes nothing and allocates nothing; a miss builds once and shares the
+// program CompileCached holds for the same schedule.
 func (f *Family) BuildCached(name string, p int) (*Program, error) {
-	s, err := f.Build(name, p)
-	if err != nil {
-		return nil, err
+	b, ok := f.Builders[name]
+	if !ok {
+		return nil, fmt.Errorf("sched: family %q has no base builder %q", f.Name, name)
 	}
-	return CompileCached(s)
+	return compileRecipe(recipeKey{family: f.ID, builder: name, p: p}, b)
 }
 
 // BuilderNames returns the family's base-builder names, sorted.
@@ -267,15 +270,46 @@ func PatternFor(pat core.Pattern) (*PatternSpec, bool) {
 // ForPattern returns the standalone schedule whose communication pattern
 // matches pat, sized for p ranks, through the family registry.
 func ForPattern(pat core.Pattern, p int) (*Schedule, error) {
-	spec, ok := patternSpecs[pat]
-	if !ok {
-		return nil, fmt.Errorf("sched: no schedule for pattern %v", pat)
-	}
-	f, err := spec.Family.Desc()
+	spec, f, err := patternFamily(pat)
 	if err != nil {
 		return nil, err
 	}
 	return f.Build(spec.Builder, p)
+}
+
+// ProgramForPattern is ForPattern compiled through the schedule cache by
+// recipe: a warm lookup skips the build and the fingerprint.
+func ProgramForPattern(pat core.Pattern, p int) (*Program, error) {
+	spec, f, err := patternFamily(pat)
+	if err != nil {
+		return nil, err
+	}
+	return f.BuildCached(spec.Builder, p)
+}
+
+func patternFamily(pat core.Pattern) (*PatternSpec, *Family, error) {
+	spec, ok := patternSpecs[pat]
+	if !ok {
+		return nil, nil, fmt.Errorf("sched: no schedule for pattern %v", pat)
+	}
+	f, err := spec.Family.Desc()
+	if err != nil {
+		return nil, nil, err
+	}
+	return spec, f, nil
+}
+
+// neighborExchangeBuilder is the allgather family's neighbor-exchange
+// builder: NeighborExchange, extended to the single-rank communicator with
+// a zero-stage schedule (structurally Ring(1)) named for the algorithm, so
+// schedule_* metrics and trace spans name the algorithm the caller forced.
+// The name enters the fingerprint, so the cache keeps it distinct from the
+// ring's.
+func neighborExchangeBuilder(p int) (*Schedule, error) {
+	if p == 1 {
+		return &Schedule{Name: "neighbor-exchange", P: 1}, nil
+	}
+	return NeighborExchange(p)
 }
 
 // alltoallBaselinePerPair is the per-pair byte threshold below which the
@@ -291,7 +325,7 @@ func init() {
 			"ring":               Ring,
 			"bruck":              Bruck,
 			"recursive-doubling": RecursiveDoubling,
-			"neighbor-exchange":  NeighborExchange,
+			"neighbor-exchange":  neighborExchangeBuilder,
 		},
 		Baseline: func(p, payloadBytes int) string {
 			switch {

@@ -153,6 +153,10 @@ func New(cfg Config) *Service {
 	return s
 }
 
+// MaxTimeout returns the cap on request deadlines the service runs under
+// (Config.MaxTimeout, or its 60 s default when unset).
+func (s *Service) MaxTimeout() time.Duration { return s.cfg.MaxTimeout }
+
 // Registry returns the service's private metrics registry, for merging into
 // an exposition endpoint alongside the process default registry.
 func (s *Service) Registry() *metrics.Registry { return s.stats.reg }
@@ -515,14 +519,38 @@ type progKey struct {
 // — the schedule-side win the complete-exchange pattern gets, since at the
 // graph level every mapping of a complete graph prices identically.
 func (e *topoEnv) scheduleFor(pat core.Pattern, p int) (*sched.Schedule, error) {
+	if s, ok, err := e.torusSchedule(pat, p); ok {
+		return s, err
+	}
+	return sched.ForPattern(pat, p)
+}
+
+// programFor compiles the schedule scheduleFor resolves. Registry schedules
+// resolve by recipe, so a compile-cache hit skips the build and the
+// fingerprint; torus-native schedules have no recipe and are keyed by their
+// fingerprint.
+func (e *topoEnv) programFor(pat core.Pattern, p int) (*sched.Program, error) {
+	if s, ok, err := e.torusSchedule(pat, p); ok {
+		if err != nil {
+			return nil, err
+		}
+		return sched.CompileCached(s)
+	}
+	return sched.ProgramForPattern(pat, p)
+}
+
+// torusSchedule builds the torus-native schedule scheduleFor substitutes for
+// pat, reporting false when the pattern or the cluster does not admit one.
+func (e *topoEnv) torusSchedule(pat core.Pattern, p int) (*sched.Schedule, bool, error) {
 	if spec, ok := sched.PatternFor(pat); ok && spec.FamilyDefault {
 		if dims, torus := topology.TorusRankDims(e.cluster, p); torus {
 			if fam, err := spec.Family.Desc(); err == nil && fam.TorusBuilder != nil {
-				return fam.TorusBuilder(dims)
+				s, err := fam.TorusBuilder(dims)
+				return s, true, err
 			}
 		}
 	}
-	return sched.ForPattern(pat, p)
+	return nil, false, nil
 }
 
 // scheduleNameFor reports the name of the schedule scheduleFor resolves,
@@ -549,11 +577,7 @@ func (e *topoEnv) scheduleNameFor(pat core.Pattern, p int) string {
 // envelope evaluations.
 func (e *topoEnv) profilesFor(pat core.Pattern, layout []int, m core.Mapping, mapFP uint64, mode sched.OrderMode) (base, reord *simnet.PriceProfile, err error) {
 	base, err = e.baseProfs.do(pat, func() (*simnet.PriceProfile, error) {
-		schedule, err := e.scheduleFor(pat, len(layout))
-		if err != nil {
-			return nil, err
-		}
-		prog, err := sched.CompileCached(schedule)
+		prog, err := e.programFor(pat, len(layout))
 		if err != nil {
 			return nil, err
 		}
@@ -713,10 +737,8 @@ func (s *Service) run(ctx context.Context, c *compiled, envFn func() (*topoEnv, 
 	if best < 0 {
 		// Nothing finished. Deadline pressure degrades; anything else is a
 		// real failure worth surfacing.
-		for i := range evals {
-			if evals[i].err != nil && ctx.Err() == nil {
-				return nil, evals[i].err
-			}
+		if err := unfinishedError(ctx, evals); err != nil {
+			return nil, err
 		}
 		mark("deadline-degraded")
 		return degradedResponse(c), nil
@@ -734,6 +756,23 @@ func (s *Service) run(ctx context.Context, c *compiled, envFn func() (*topoEnv, 
 		resp.Schedule = env.scheduleNameFor(c.pattern, c.procs)
 	}
 	return resp, nil
+}
+
+// unfinishedError is the error to surface when no candidate finished: the
+// first candidate error, or nil — degrade — when the request's budget is
+// spent. The budget is judged by expired, the same clock-aware predicate
+// evaluate fails on, so a deadline that passed before its timer cancelled
+// ctx still degrades instead of failing the request.
+func unfinishedError(ctx context.Context, evals []evaluation) error {
+	if expired(ctx) != nil {
+		return nil
+	}
+	for i := range evals {
+		if evals[i].err != nil {
+			return evals[i].err
+		}
+	}
+	return nil
 }
 
 // evaluate computes one candidate's mapping and its modelled cost: the

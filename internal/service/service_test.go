@@ -262,6 +262,54 @@ func TestComputeTightTimeoutDegrades(t *testing.T) {
 	checkPermutation(t, resp.Mapping, len(resp.Mapping))
 }
 
+// staleDeadlineCtx reports a deadline that has already passed while its
+// Err stays nil: the window between a deadline expiring and the runtime's
+// timer cancelling the context, held open.
+type staleDeadlineCtx struct{ context.Context }
+
+func (staleDeadlineCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestStaleDeadlineDegrades pins the degrade-or-fail decision to the
+// clock-aware deadline predicate: when no candidate finished because the
+// budget ran out, a request whose context is not yet cancelled must degrade
+// (nil error), not fail with the candidates' DeadlineExceeded.
+func TestStaleDeadlineDegrades(t *testing.T) {
+	ctx := staleDeadlineCtx{context.Background()}
+	if ctx.Err() != nil {
+		t.Fatal("stale-deadline context reports an error")
+	}
+	evals := []evaluation{{name: "rdmh", err: context.DeadlineExceeded}}
+	if err := unfinishedError(ctx, evals); err != nil {
+		t.Errorf("spent budget surfaced %v, want degrade", err)
+	}
+	// With budget left, a candidate failure is real and surfaces.
+	if err := unfinishedError(context.Background(), evals); err != context.DeadlineExceeded {
+		t.Errorf("live budget returned %v, want the candidate error", err)
+	}
+	// End to end: the request degrades with the identity mapping.
+	s := newTestService(t)
+	resp, err := s.Compute(ctx, &Request{
+		Topology: smallTopo(), Pattern: PatternSpec{Name: "recursive-doubling"}, Heuristic: "rdmh",
+	})
+	if err != nil {
+		t.Fatalf("Compute: %v", err)
+	}
+	if !resp.Degraded {
+		t.Error("request past its deadline was not degraded")
+	}
+	checkPermutation(t, resp.Mapping, len(resp.Mapping))
+}
+
+// TestMaxTimeoutNormalised pins the accessor cmd/mapd bounds its shutdown
+// grace with: an unset cap reads as the 60 s default, never 0 (which would
+// abort in-flight requests at once).
+func TestMaxTimeoutNormalised(t *testing.T) {
+	s := newTestService(t)
+	if got := s.MaxTimeout(); got != 60*time.Second {
+		t.Errorf("unset MaxTimeout reads %v, want 60s", got)
+	}
+}
+
 func TestComputeTrace(t *testing.T) {
 	s := newTestService(t)
 	resp, err := s.Compute(context.Background(), &Request{
