@@ -150,11 +150,6 @@ func run(w io.Writer, p int, layoutName string, size int, algName string, withSc
 			return err
 		}
 		fmt.Fprintf(w, "  real goroutine runtime (default order): %v per call (schedule executor)\n", res.Latency)
-		leg, err := osu.MeasureRuntimeLegacy(p, size, collective.AlgAuto, 2, 5)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  real goroutine runtime (default order): %v per call (legacy loops)\n", leg.Latency)
 		if rec != nil {
 			if err := trace.WriteChromeTraceFile(tracePath, rec); err != nil {
 				return err

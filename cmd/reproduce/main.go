@@ -223,11 +223,12 @@ func runCalibrate(w io.Writer, procs int) error {
 	})
 }
 
-// writeRuntimeTrace runs a laptop-scale flat + hierarchical-style allgather
-// sequence on the real goroutine runtime with tracing enabled and exports
-// the recording as Chrome trace-event JSON. The figures themselves are
-// priced on the cost model; this demonstrates the observed side — every
-// send, delivery and receive wait of the collectives the model prices.
+// writeRuntimeTrace runs a laptop-scale allgather sequence — recursive
+// doubling, then ring — through the Allgather front door on the real
+// goroutine runtime with tracing enabled and exports the recording as
+// Chrome trace-event JSON. The figures themselves are priced on the cost
+// model; this demonstrates the observed side — the executor stages, and
+// every send, delivery and receive wait of the programs the model prices.
 func writeRuntimeTrace(w io.Writer, path string, procs int) error {
 	p := procs
 	if p > 64 {
@@ -241,10 +242,10 @@ func writeRuntimeTrace(w io.Writer, path string, procs int) error {
 			send[i] = byte(c.Rank() + i)
 		}
 		recv := make([]byte, c.Size()*len(send))
-		if err := collective.RecursiveDoublingAllgather(c, send, recv); err != nil {
+		if err := collective.Allgather(c, send, recv, collective.AlgRecursiveDoubling); err != nil {
 			return err
 		}
-		return collective.RingAllgather(c, send, recv, nil)
+		return collective.Allgather(c, send, recv, collective.AlgRing)
 	}, mpi.WithTracer(rec), mpi.WithStats(stats))
 	if err != nil {
 		return err

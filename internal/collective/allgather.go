@@ -1,27 +1,31 @@
-// Package collective implements MPI_Allgather, MPI_Bcast and MPI_Gather
-// algorithms rank-locally on top of the mpi runtime: recursive doubling,
-// ring, Bruck, binomial and linear trees, and the three-phase hierarchical
-// composition (paper Section II).
+// Package collective runs MPI collectives — allgather, allreduce,
+// broadcast, gather, scatter, all-to-all, and the hierarchical compositions
+// of paper Section II — on top of the mpi runtime, with one engine: every
+// front door resolves a compiled sched.Program (a synthesized table entry,
+// or the hand-coded selection rules' builder relabelled to the caller's
+// root) and the generic schedule executor moves the bytes. The program the
+// executor runs is the one simnet prices, so the cost model and the runtime
+// cannot drift apart. Hand-written per-algorithm loops survive only in this
+// package's tests, as the reference each family's programs are checked
+// against byte for byte.
 //
-// These implementations move real bytes between goroutine ranks; they are
-// the executable counterpart of the static schedules in package sched and
-// are cross-checked against them by tests. The ring implementation shows the
-// paper's in-algorithm order fix: each incoming block is stored at the
-// output offset of its *original* contributor, so a reordered communicator
-// needs no extra order-preservation mechanism (Section V-B).
+// Placement carries the paper's in-algorithm order fix: the executor stores
+// each incoming block at the output offset of its *original* contributor,
+// so a reordered communicator needs no extra order-preservation mechanism
+// for the ring (Section V-B).
 package collective
 
 import (
 	"fmt"
 
 	"repro/internal/mpi"
-	"repro/internal/sched"
 )
 
-// Placement maps a communicator rank to the output-buffer block position of
-// that rank's contribution. A nil Placement is the identity (the normal
-// MPI_Allgather contract). Reordered communicators pass the mapping so that
-// ring and tree algorithms can deposit blocks at original-rank offsets.
+// Placement maps a block identifier — for allgather programs, a
+// communicator rank — to the output-buffer block position of that block. A
+// nil Placement is the identity (the normal MPI_Allgather contract).
+// Reordered communicators pass the mapping so that the executor deposits
+// blocks at original-rank offsets.
 type Placement func(commRank int) int
 
 func position(place Placement, r int) int {
@@ -31,15 +35,11 @@ func position(place Placement, r int) int {
 	return place(r)
 }
 
-// tag bases: every collective call uses tags derived from its stage indices;
-// successive collectives on one communicator may reuse tags safely because
-// the runtime matches (src, tag) in FIFO order.
-const (
-	tagAllgather = 1 << 20
-	tagGather    = 2 << 20
-	tagBcast     = 3 << 20
-	tagOrderFix  = 4 << 20
-)
+// tagOrderFix tags the initComm order-fix exchange of Reordered.Allgather;
+// the executor tags its stages from tagSchedule. Successive collectives on
+// one communicator may reuse tags safely because the runtime matches
+// (src, tag) in FIFO order.
+const tagOrderFix = 4 << 20
 
 // checkAllgatherArgs validates the common allgather buffer contract.
 func checkAllgatherArgs(c *mpi.Comm, send, recv []byte) (blk int, err error) {
@@ -52,128 +52,4 @@ func checkAllgatherArgs(c *mpi.Comm, send, recv []byte) (blk int, err error) {
 			len(recv), blk*c.Size(), c.Size(), blk)
 	}
 	return blk, nil
-}
-
-// RingAllgather runs the ring algorithm: p-1 stages, each forwarding the
-// most recently received block to rank+1. place relocates every contributor's
-// block in the output (used by reordered communicators); the relocation is
-// free — it only changes store offsets.
-func RingAllgather(c *mpi.Comm, send, recv []byte, place Placement) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("ring")()
-	c.TraceEnter("allgather/ring")
-	defer c.TraceExit("allgather/ring")
-	p, me := c.Size(), c.Rank()
-	copy(recv[position(place, me)*blk:], send)
-	if p == 1 {
-		return nil
-	}
-	next, prev := sched.RingNext(me, p), sched.RingPrev(me, p)
-	for t := 0; t < p-1; t++ {
-		if c.Tracing() {
-			c.TracePoint(fmt.Sprintf("ring stage %d", t))
-		}
-		// Forward the block contributed by rank (me - t); receive the one
-		// contributed by rank (me - 1 - t). The owner arithmetic is shared
-		// with the schedule generator.
-		outOwner := sched.RingSendOwner(me, t, p)
-		inOwner := sched.RingRecvOwner(me, t, p)
-		out := recv[position(place, outOwner)*blk : (position(place, outOwner)+1)*blk]
-		if err := c.Send(next, tagAllgather+t, out); err != nil {
-			return err
-		}
-		in, err := c.Recv(prev, tagAllgather+t)
-		if err != nil {
-			return err
-		}
-		if len(in) != blk {
-			return fmt.Errorf("collective: ring stage %d received %d bytes, want %d", t, len(in), blk)
-		}
-		copy(recv[position(place, inOwner)*blk:], in)
-	}
-	return nil
-}
-
-// RecursiveDoublingAllgather runs the recursive doubling algorithm over a
-// power-of-two communicator: log2(p) pairwise exchange stages with doubling
-// volumes. The algorithm relies on contiguous aligned block ranges, so it
-// does not accept a Placement; reordered communicators preserve output
-// order with AllgatherReordered's initComm or endShfl mechanisms instead.
-func RecursiveDoublingAllgather(c *mpi.Comm, send, recv []byte) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	p, me := c.Size(), c.Rank()
-	if p&(p-1) != 0 {
-		return fmt.Errorf("collective: recursive doubling needs a power-of-two size, got %d", p)
-	}
-	defer beginCollective("recursive-doubling")()
-	c.TraceEnter("allgather/recursive-doubling")
-	defer c.TraceExit("allgather/recursive-doubling")
-	copy(recv[me*blk:], send)
-	stage := 0
-	for mask := 1; mask < p; mask <<= 1 {
-		if c.Tracing() {
-			c.TracePoint(fmt.Sprintf("rd stage %d", stage))
-		}
-		partner := me ^ mask
-		myStart := me &^ (mask - 1)
-		out := recv[myStart*blk : (myStart+mask)*blk]
-		in, err := c.SendRecv(partner, out, partner, tagAllgather+stage)
-		if err != nil {
-			return err
-		}
-		if len(in) != mask*blk {
-			return fmt.Errorf("collective: recursive doubling stage %d received %d bytes, want %d",
-				stage, len(in), mask*blk)
-		}
-		partnerStart := partner &^ (mask - 1)
-		copy(recv[partnerStart*blk:], in)
-		stage++
-	}
-	return nil
-}
-
-// BruckAllgather runs the Bruck algorithm, which supports any communicator
-// size in ceil(log2 p) stages at the cost of a final local rotation.
-func BruckAllgather(c *mpi.Comm, send, recv []byte) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("bruck")()
-	c.TraceEnter("allgather/bruck")
-	defer c.TraceExit("allgather/bruck")
-	p, me := c.Size(), c.Rank()
-	tmp := make([]byte, p*blk)
-	copy(tmp, send)
-	cnt := 1
-	stage := 0
-	for pow := 1; pow < p; pow <<= 1 {
-		// Peer and count arithmetic is shared with the schedule generator.
-		dst, src, n := sched.BruckStep(me, pow, p)
-		in, err := c.SendRecv(dst, tmp[:n*blk], src, tagAllgather+stage)
-		if err != nil {
-			return err
-		}
-		if len(in) != n*blk {
-			return fmt.Errorf("collective: bruck stage %d received %d bytes, want %d", stage, len(in), n*blk)
-		}
-		copy(tmp[cnt*blk:], in)
-		cnt += n
-		stage++
-	}
-	if cnt != p {
-		return fmt.Errorf("collective: bruck gathered %d of %d blocks", cnt, p)
-	}
-	// Final rotation: tmp[j] is the block of rank (me + j) mod p.
-	for j := 0; j < p; j++ {
-		owner := (me + j) % p
-		copy(recv[owner*blk:(owner+1)*blk], tmp[j*blk:(j+1)*blk])
-	}
-	return nil
 }

@@ -12,89 +12,6 @@ import (
 // length. It must be associative and commutative for tree reductions.
 type ReduceOp func(dst, src []byte)
 
-// tag base for reductions.
-const tagReduce = 5 << 20
-
-// BinomialReduce reduces every rank's buf into the root along the binomial
-// tree (mirror image of the binomial broadcast, so the BGMH mapping
-// rationale applies: message sizes are fixed but the fan-in pattern matches
-// the gather tree). On return the root's buf holds the combined value;
-// other ranks' buffers are unspecified scratch.
-func BinomialReduce(c *mpi.Comm, root int, buf []byte, op ReduceOp) error {
-	p, me := c.Size(), c.Rank()
-	if root < 0 || root >= p {
-		return fmt.Errorf("collective: reduce root %d outside communicator of size %d", root, p)
-	}
-	if op == nil {
-		return fmt.Errorf("collective: nil reduce op")
-	}
-	defer beginCollective("binomial-reduce")()
-	vr := ((me-root)%p + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := (vr - mask + root) % p
-			return c.Send(parent, tagReduce+maskLog(mask), buf)
-		}
-		if vr+mask < p {
-			child := (vr + mask + root) % p
-			in, err := c.Recv(child, tagReduce+maskLog(mask))
-			if err != nil {
-				return err
-			}
-			if len(in) != len(buf) {
-				return fmt.Errorf("collective: reduce received %d bytes, want %d", len(in), len(buf))
-			}
-			op(buf, in)
-		}
-	}
-	return nil
-}
-
-// HierarchicalAllreduce implements the paper's future-work extension: a
-// topology-friendly MPI_Allreduce composed of an intra-node binomial reduce
-// into the leaders, a leader-level reduce + broadcast, and an intra-node
-// binomial broadcast — reusing exactly the patterns BGMH and BBMH optimise.
-// nodeID groups world ranks into nodes; buf is combined in place on every
-// rank.
-func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(worldRank int) int) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("collective: empty allreduce buffer")
-	}
-	defer beginCollective("hierarchical-allreduce")()
-	nodeComm, err := c.Split(nodeID(c.WorldRank()), c.Rank())
-	if err != nil {
-		return err
-	}
-	if nodeComm == nil {
-		return fmt.Errorf("collective: allreduce node split produced no communicator")
-	}
-	isLeader := nodeComm.Rank() == 0
-	leaderColor := -1
-	if isLeader {
-		leaderColor = 0
-	}
-	leaderComm, err := c.Split(leaderColor, c.Rank())
-	if err != nil {
-		return err
-	}
-	// Phase 1: reduce within each node.
-	if err := BinomialReduce(nodeComm, 0, buf, op); err != nil {
-		return err
-	}
-	// Phase 2: reduce among leaders, then broadcast the result back to
-	// them (a reduce+bcast allreduce, as in hierarchical MPI libraries).
-	if isLeader {
-		if err := BinomialReduce(leaderComm, 0, buf, op); err != nil {
-			return err
-		}
-		if err := BinomialBroadcast(leaderComm, 0, buf); err != nil {
-			return err
-		}
-	}
-	// Phase 3: broadcast inside each node.
-	return BinomialBroadcast(nodeComm, 0, buf)
-}
-
 // RabenseifnerThresholdBytes is the buffer size at and above which Allreduce
 // prefers the reduce-scatter + allgather (Rabenseifner) schedule when the
 // communicator shape admits it, matching the large-message switch point of
@@ -154,26 +71,4 @@ func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 	return tracedExecute(c, "allreduce", label, func() error {
 		return ExecuteAllreduce(c, prog, buf, op)
 	})
-}
-
-// AllreduceLegacy is the hand-written flat fallback: binomial reduce to rank
-// 0 followed by binomial broadcast. Kept as the equivalence baseline.
-func AllreduceLegacy(c *mpi.Comm, buf []byte, op ReduceOp) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("collective: empty allreduce buffer")
-	}
-	defer beginCollective("allreduce")()
-	if err := BinomialReduce(c, 0, buf, op); err != nil {
-		return err
-	}
-	return BinomialBroadcast(c, 0, buf)
-}
-
-// AllreduceSchedule builds the priceable schedule of the flat allreduce: the
-// binomial reduce stages (fixed-size messages, since reductions combine
-// rather than concatenate) followed by the binomial broadcast stages. It
-// delegates to the sched builder the executor runs, so the benchmarked
-// schedule is the executed one.
-func AllreduceSchedule(p int) (*sched.Schedule, error) {
-	return sched.BinomialReduceBroadcast(p)
 }

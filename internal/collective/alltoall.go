@@ -8,9 +8,6 @@ import (
 	"repro/internal/synth"
 )
 
-// tag base for the hand-written all-to-all loop; the stage index is added.
-const tagAlltoall = 7 << 20
-
 // checkAlltoallArgs validates the MPI_Alltoall buffer contract: both buffers
 // carry one equal-size block per rank, with send block d destined to rank d
 // and recv block s arriving from rank s.
@@ -24,37 +21,6 @@ func checkAlltoallArgs(c *mpi.Comm, send, recv []byte) (blk int, err error) {
 		return 0, fmt.Errorf("collective: alltoall recv buffer is %d bytes, want %d", len(recv), len(send))
 	}
 	return len(send) / p, nil
-}
-
-// AlltoallLegacy is the hand-written pairwise-exchange reference loop: p-1
-// rounds, round t exchanging with ranks (me+t) mod p and (me-t) mod p. Kept
-// as the semantic oracle the schedule executor is equivalence-tested
-// against — any correct all-to-all program must reproduce its output bytes.
-func AlltoallLegacy(c *mpi.Comm, send, recv []byte) error {
-	blk, err := checkAlltoallArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("alltoall-legacy")()
-	c.TraceEnter("alltoall/legacy")
-	defer c.TraceExit("alltoall/legacy")
-	p, me := c.Size(), c.Rank()
-	copy(recv[me*blk:(me+1)*blk], send[me*blk:(me+1)*blk])
-	for t := 1; t < p; t++ {
-		dst, src := (me+t)%p, (me-t+p)%p
-		if err := c.Send(dst, tagAlltoall+t, send[dst*blk:(dst+1)*blk]); err != nil {
-			return err
-		}
-		in, err := c.Recv(src, tagAlltoall+t)
-		if err != nil {
-			return err
-		}
-		if len(in) != blk {
-			return fmt.Errorf("collective: alltoall round %d received %d bytes, want %d", t, len(in), blk)
-		}
-		copy(recv[src*blk:], in)
-	}
-	return nil
 }
 
 // ExecuteAlltoall runs a compiled all-to-all program (InitSlab over the p^2
@@ -72,6 +38,10 @@ func ExecuteAlltoall(c *mpi.Comm, prog *sched.Program, send, recv []byte) error 
 	if prog.Init != sched.InitSlab || prog.Blocks != p*p {
 		return fmt.Errorf("collective: program %q is not an all-to-all program for %d ranks", prog.Name, p)
 	}
+	// Not drawn from mpi.GetBuf like the gather and scatter staging: the
+	// p²-block buffer is large (4 MiB at p=64, 1 KiB per pair), and the one
+	// variable-capacity pool would then lend it out for small in-flight
+	// messages, inflating resident memory.
 	buf := make([]byte, prog.Blocks*blk)
 	copy(buf[me*p*blk:], send)
 	if err := executeProgram(c, prog, buf, blk, nil, nil); err != nil {
@@ -99,7 +69,7 @@ func Alltoall(c *mpi.Comm, send, recv []byte) error {
 			return ExecuteAlltoall(c, prog, send, recv)
 		})
 	}
-	prog, err := baselineProgram(sched.FamilyAlltoall, c.Size(), len(send))
+	prog, err := baselineProgram(sched.FamilyAlltoall, c.Size(), len(send), 0)
 	if err != nil {
 		return err
 	}
@@ -124,7 +94,7 @@ func (r *Reordered) Alltoall(send, recv []byte) error {
 	p := r.re.Size()
 	prog, ok := synthProgram(r.re, synth.Alltoall, len(send), -1)
 	if !ok {
-		if prog, err = baselineProgram(sched.FamilyAlltoall, p, len(send)); err != nil {
+		if prog, err = baselineProgram(sched.FamilyAlltoall, p, len(send), 0); err != nil {
 			return err
 		}
 	}

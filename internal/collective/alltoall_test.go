@@ -42,7 +42,7 @@ func TestAlltoallLegacyContract(t *testing.T) {
 		const blk = 24
 		err := mpi.Run(p, func(c *mpi.Comm) error {
 			recv := make([]byte, p*blk)
-			if err := AlltoallLegacy(c, alltoallInput(c.Rank(), p, blk), recv); err != nil {
+			if err := refAlltoall(c, alltoallInput(c.Rank(), p, blk), recv); err != nil {
 				return err
 			}
 			if !bytes.Equal(recv, alltoallExpected(c.Rank(), p, blk)) {
@@ -70,7 +70,7 @@ func TestAlltoallFrontDoorMatchesLegacy(t *testing.T) {
 					return fmt.Errorf("front door: %w", err)
 				}
 				want := make([]byte, p*blk)
-				if err := AlltoallLegacy(c, send, want); err != nil {
+				if err := refAlltoall(c, send, want); err != nil {
 					return fmt.Errorf("legacy: %w", err)
 				}
 				if !bytes.Equal(got, want) {
@@ -319,7 +319,7 @@ func FuzzExecutorAlltoall(f *testing.F) {
 				return err
 			}
 			want := make([]byte, p*blk)
-			if err := AlltoallLegacy(c, send, want); err != nil {
+			if err := refAlltoall(c, send, want); err != nil {
 				return err
 			}
 			if !bytes.Equal(got, want) {

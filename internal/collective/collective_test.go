@@ -50,19 +50,20 @@ func runAllgather(t *testing.T, p, blk int, fn func(c *mpi.Comm, send, recv []by
 	}
 }
 
+// frontDoor returns the Allgather front door forced to alg.
+func frontDoor(alg Algorithm) func(c *mpi.Comm, send, recv []byte) error {
+	return func(c *mpi.Comm, send, recv []byte) error { return Allgather(c, send, recv, alg) }
+}
+
 func TestRingAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8, 16, 33} {
-		runAllgather(t, p, 16, func(c *mpi.Comm, send, recv []byte) error {
-			return RingAllgather(c, send, recv, nil)
-		})
+		runAllgather(t, p, 16, frontDoor(AlgRing))
 	}
 }
 
 func TestRecursiveDoublingAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8, 16, 32, 64} {
-		runAllgather(t, p, 16, func(c *mpi.Comm, send, recv []byte) error {
-			return RecursiveDoublingAllgather(c, send, recv)
-		})
+		runAllgather(t, p, 16, frontDoor(AlgRecursiveDoubling))
 	}
 }
 
@@ -70,7 +71,7 @@ func TestRecursiveDoublingRejectsNonPowerOfTwo(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		send := input(c.Rank(), 8)
 		recv := make([]byte, 3*8)
-		if err := RecursiveDoublingAllgather(c, send, recv); err == nil {
+		if err := Allgather(c, send, recv, AlgRecursiveDoubling); err == nil {
 			return fmt.Errorf("p=3 accepted")
 		}
 		return nil
@@ -82,18 +83,59 @@ func TestRecursiveDoublingRejectsNonPowerOfTwo(t *testing.T) {
 
 func TestBruckAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 31} {
-		runAllgather(t, p, 16, func(c *mpi.Comm, send, recv []byte) error {
-			return BruckAllgather(c, send, recv)
-		})
+		runAllgather(t, p, 16, frontDoor(AlgBruck))
+	}
+}
+
+func TestNeighborExchangeAllgather(t *testing.T) {
+	for _, p := range []int{1, 2, 4, 6, 8, 12, 16, 30} {
+		runAllgather(t, p, 16, frontDoor(AlgNeighborExchange))
+	}
+}
+
+func TestNeighborExchangeRejectsOdd(t *testing.T) {
+	err := mpi.Run(3, func(c *mpi.Comm) error {
+		if err := Allgather(c, make([]byte, 4), make([]byte, 12), AlgNeighborExchange); err == nil {
+			return fmt.Errorf("odd size accepted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestNeighborExchangeWithPlacement(t *testing.T) {
+	// Reversed placement relocates every contributor's block.
+	const p, blk = 8, 8
+	prog, err := scheduleProgram(AlgNeighborExchange, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(p, func(c *mpi.Comm) error {
+		place := func(r int) int { return p - 1 - r }
+		recv := make([]byte, p*blk)
+		if err := ExecuteAllgather(c, prog, input(c.Rank(), blk), recv, place); err != nil {
+			return err
+		}
+		for r := 0; r < p; r++ {
+			if !bytes.Equal(recv[(p-1-r)*blk:(p-r)*blk], input(r, blk)) {
+				return fmt.Errorf("block of rank %d misplaced", r)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestAllgatherArgChecks(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		if err := RingAllgather(c, nil, make([]byte, 4), nil); err == nil {
+		if err := Allgather(c, nil, make([]byte, 4), AlgRing); err == nil {
 			return fmt.Errorf("empty send accepted")
 		}
-		if err := RingAllgather(c, make([]byte, 4), make([]byte, 4), nil); err == nil {
+		if err := Allgather(c, make([]byte, 4), make([]byte, 4), AlgRing); err == nil {
 			return fmt.Errorf("short recv accepted")
 		}
 		return nil
@@ -112,7 +154,7 @@ func TestBinomialBroadcast(t *testing.T) {
 				if c.Rank() == root {
 					copy(buf, msg)
 				}
-				if err := BinomialBroadcast(c, root, buf); err != nil {
+				if err := Broadcast(c, root, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, msg) {
@@ -129,11 +171,11 @@ func TestBinomialBroadcast(t *testing.T) {
 
 func TestBroadcastRootChecks(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		if err := BinomialBroadcast(c, 5, make([]byte, 4)); err == nil {
+		if err := Broadcast(c, 5, make([]byte, 4)); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
-		if err := LinearBroadcast(c, -1, make([]byte, 4)); err == nil {
-			return fmt.Errorf("bad linear root accepted")
+		if err := Broadcast(c, -1, make([]byte, 4)); err == nil {
+			return fmt.Errorf("negative root accepted")
 		}
 		return nil
 	})
@@ -142,7 +184,21 @@ func TestBroadcastRootChecks(t *testing.T) {
 	}
 }
 
-func testGather(t *testing.T, gather func(c *mpi.Comm, root int, send, recv []byte, place Placement) error) {
+// rootedProgramFor compiles family builder name over p ranks at root.
+func rootedProgramFor(t testing.TB, f sched.FamilyID, name string, p, root int) *sched.Program {
+	t.Helper()
+	fam, err := f.Desc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := fam.BuildCachedAt(name, p, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+func testGather(t *testing.T, gather func(c *mpi.Comm, root int, send, recv []byte) error) {
 	t.Helper()
 	for _, p := range []int{1, 2, 3, 5, 8, 13, 16} {
 		for _, root := range []int{0, p - 1} {
@@ -153,7 +209,7 @@ func testGather(t *testing.T, gather func(c *mpi.Comm, root int, send, recv []by
 				if c.Rank() == root {
 					recv = make([]byte, p*16)
 				}
-				if err := gather(c, root, send, recv, nil); err != nil {
+				if err := gather(c, root, send, recv); err != nil {
 					return err
 				}
 				if c.Rank() == root && !bytes.Equal(recv, want) {
@@ -168,25 +224,30 @@ func testGather(t *testing.T, gather func(c *mpi.Comm, root int, send, recv []by
 	}
 }
 
-func TestBinomialGather(t *testing.T) { testGather(t, BinomialGather) }
-func TestLinearGather(t *testing.T)   { testGather(t, LinearGather) }
+func TestBinomialGather(t *testing.T) { testGather(t, Gather) }
+
+func TestLinearGather(t *testing.T) {
+	testGather(t, func(c *mpi.Comm, root int, send, recv []byte) error {
+		prog := rootedProgramFor(t, sched.FamilyGather, "linear-gather", c.Size(), root)
+		return ExecuteGather(c, prog, root, send, recv)
+	})
+}
 
 func TestGatherWithPlacement(t *testing.T) {
-	// Reversed placement must land blocks reversed.
+	// Reversed placement must land blocks reversed: the executor relocates
+	// blocks of any program, not only allgathers.
 	const p, blk = 4, 8
+	prog := rootedProgramFor(t, sched.FamilyGather, "binomial-gather", p, 0)
 	err := mpi.Run(p, func(c *mpi.Comm) error {
-		send := input(c.Rank(), blk)
-		var recv []byte
-		if c.Rank() == 0 {
-			recv = make([]byte, p*blk)
-		}
 		place := func(r int) int { return p - 1 - r }
-		if err := BinomialGather(c, 0, send, recv, place); err != nil {
+		buf := make([]byte, p*blk)
+		copy(buf[place(c.Rank())*blk:], input(c.Rank(), blk))
+		if err := executeProgram(c, prog, buf, blk, place, nil); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
 			for r := 0; r < p; r++ {
-				if !bytes.Equal(recv[(p-1-r)*blk:(p-r)*blk], input(r, blk)) {
+				if !bytes.Equal(buf[(p-1-r)*blk:(p-r)*blk], input(r, blk)) {
 					return fmt.Errorf("placement wrong for rank %d", r)
 				}
 			}
@@ -387,8 +448,9 @@ func TestHierarchicalAllgather(t *testing.T) {
 }
 
 func TestHierarchicalAllgatherCyclicGrouping(t *testing.T) {
-	// Ranks spread cyclically over nodes (non-contiguous groups): the
-	// tagged-block bookkeeping must still deliver rank order.
+	// Ranks spread cyclically over nodes (non-contiguous groups): blocks
+	// carry their contributor's identity through the compiled schedule, so
+	// the output is still in rank order.
 	const nodes, ppn = 4, 2
 	p := nodes * ppn
 	blk := 8
@@ -427,9 +489,65 @@ func TestHierarchicalRejectsNonUniformNodes(t *testing.T) {
 		if err == nil {
 			return fmt.Errorf("non-uniform nodes accepted")
 		}
-		return nil // every rank must see an error (leaders directly, the
-		// rest via the shortened deadline)
+		return nil // every rank must see an error
 	}, mpi.WithTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHierarchicalProgramMemoized: a world compiles each node grouping's
+// program once — a repeated call costs no compile-cache lookup — and a
+// different grouping on the same world gets its own program.
+func TestHierarchicalProgramMemoized(t *testing.T) {
+	const p, blk = 8, 8
+	cfg := sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRing}
+	byTwo := func(worldRank int) int { return worldRank / 2 }
+	byFour := func(worldRank int) int { return worldRank / 4 }
+	want := expected(p, blk)
+	err := mpi.Run(p, func(c *mpi.Comm) error {
+		// lookups runs one call on every rank between barriers and returns,
+		// on rank 0, the compile-cache lookups it made.
+		lookups := func(nodeOf func(worldRank int) int) (uint64, error) {
+			if err := c.Barrier(); err != nil {
+				return 0, err
+			}
+			h0, m0 := sched.CompileCacheCounters()
+			if err := c.Barrier(); err != nil {
+				return 0, err
+			}
+			recv := make([]byte, p*blk)
+			if err := HierarchicalAllgather(c, input(c.Rank(), blk), recv, nodeOf, cfg); err != nil {
+				return 0, err
+			}
+			if !bytes.Equal(recv, want) {
+				return 0, fmt.Errorf("rank %d: wrong hierarchical output", c.Rank())
+			}
+			if err := c.Barrier(); err != nil {
+				return 0, err
+			}
+			h1, m1 := sched.CompileCacheCounters()
+			return h1 - h0 + m1 - m0, nil
+		}
+		if _, err := lookups(byTwo); err != nil {
+			return err
+		}
+		again, err := lookups(byTwo)
+		if err != nil {
+			return err
+		}
+		other, err := lookups(byFour)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 && again != 0 {
+			return fmt.Errorf("a repeated call made %d compile-cache lookups, want 0", again)
+		}
+		if c.Rank() == 0 && other == 0 {
+			return fmt.Errorf("a new grouping reused the memoized program")
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,68 +23,62 @@ func scheduleTraffic(s *sched.Schedule, blk int) map[[2]int]int64 {
 	return out
 }
 
-// TestScheduleMatchesRuntimeTraffic cross-validates the two execution paths:
-// the static schedules (used by the cost model) must predict exactly the
-// point-to-point traffic the live runtime implementation generates, pair by
-// pair and byte for byte.
+// matchTraffic runs body on a world of p ranks and requires its
+// point-to-point traffic to equal the schedule's prediction at blk bytes
+// per block, pair by pair and byte for byte.
+func matchTraffic(t *testing.T, s *sched.Schedule, p, blk int, body func(c *mpi.Comm) error) {
+	t.Helper()
+	want := scheduleTraffic(s, blk)
+	stats := mpi.NewStats()
+	if err := mpi.Run(p, body, mpi.WithStats(stats)); err != nil {
+		t.Fatal(err)
+	}
+	got := stats.PairBytes()
+	for pair, bytes := range want {
+		if got[pair] != bytes {
+			t.Errorf("pair %v: schedule predicts %d bytes, runtime sent %d", pair, bytes, got[pair])
+		}
+	}
+	for pair, bytes := range got {
+		if want[pair] == 0 && bytes != 0 {
+			t.Errorf("pair %v: runtime sent %d bytes the schedule does not predict", pair, bytes)
+		}
+	}
+	if stats.TotalBytes() != s.TotalBlocksMoved()*int64(blk) {
+		t.Errorf("total: schedule %d bytes, runtime %d", s.TotalBlocksMoved()*int64(blk), stats.TotalBytes())
+	}
+}
+
+// TestScheduleMatchesRuntimeTraffic cross-validates the cost model against
+// the executor: the static schedule simnet prices must predict exactly the
+// point-to-point traffic the front door generates when it runs that
+// schedule's program.
 func TestScheduleMatchesRuntimeTraffic(t *testing.T) {
 	const blk = 64
 	cases := []struct {
-		name  string
+		alg   Algorithm
 		p     int
 		build func(p int) (*sched.Schedule, error)
-		run   func(c *mpi.Comm, send, recv []byte) error
 	}{
-		{"recursive-doubling", 16, sched.RecursiveDoubling, func(c *mpi.Comm, send, recv []byte) error {
-			return RecursiveDoublingAllgather(c, send, recv)
-		}},
-		{"ring", 12, sched.Ring, func(c *mpi.Comm, send, recv []byte) error {
-			return RingAllgather(c, send, recv, nil)
-		}},
-		{"bruck", 11, sched.Bruck, func(c *mpi.Comm, send, recv []byte) error {
-			return BruckAllgather(c, send, recv)
-		}},
+		{AlgRecursiveDoubling, 16, sched.RecursiveDoubling},
+		{AlgRing, 12, sched.Ring},
+		{AlgBruck, 11, sched.Bruck},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.alg.String(), func(t *testing.T) {
 			s, err := tc.build(tc.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := scheduleTraffic(s, blk)
-
-			stats := mpi.NewStats()
-			err = mpi.Run(tc.p, func(c *mpi.Comm) error {
-				send := input(c.Rank(), blk)
-				recv := make([]byte, tc.p*blk)
-				return tc.run(c, send, recv)
-			}, mpi.WithStats(stats))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			got := stats.PairBytes()
-			for pair, bytes := range want {
-				if got[pair] != bytes {
-					t.Errorf("pair %v: schedule predicts %d bytes, runtime sent %d", pair, bytes, got[pair])
-				}
-			}
-			for pair, bytes := range got {
-				if want[pair] == 0 && bytes != 0 {
-					t.Errorf("pair %v: runtime sent %d bytes the schedule does not predict", pair, bytes)
-				}
-			}
-			if stats.TotalBytes() != s.TotalBlocksMoved()*blk {
-				t.Errorf("total: schedule %d bytes, runtime %d",
-					s.TotalBlocksMoved()*blk, stats.TotalBytes())
-			}
+			matchTraffic(t, s, tc.p, blk, func(c *mpi.Comm) error {
+				return Allgather(c, input(c.Rank(), blk), make([]byte, tc.p*blk), tc.alg)
+			})
 		})
 	}
 }
 
-// TestScheduleMatchesRuntimeTreeTraffic does the same for the tree
-// collectives (gather, broadcast, scatter), whose transfer sizes vary by
-// stage.
+// TestScheduleMatchesRuntimeTreeTraffic does the same for the rooted front
+// doors (gather, broadcast, scatter), whose transfer sizes vary by stage.
 func TestScheduleMatchesRuntimeTreeTraffic(t *testing.T) {
 	const blk = 32
 	const p = 13
@@ -99,7 +93,7 @@ func TestScheduleMatchesRuntimeTreeTraffic(t *testing.T) {
 				if c.Rank() == 0 {
 					recv = make([]byte, p*blk)
 				}
-				return BinomialGather(c, 0, input(c.Rank(), blk), recv, nil)
+				return Gather(c, 0, input(c.Rank(), blk), recv)
 			}},
 		{"binomial-scatter", func() (*sched.Schedule, error) { return sched.BinomialScatter(p) },
 			func(c *mpi.Comm) error {
@@ -107,11 +101,11 @@ func TestScheduleMatchesRuntimeTreeTraffic(t *testing.T) {
 				if c.Rank() == 0 {
 					data = make([]byte, p*blk)
 				}
-				return BinomialScatter(c, 0, data, make([]byte, blk))
+				return Scatter(c, 0, data, make([]byte, blk))
 			}},
 		{"binomial-broadcast", func() (*sched.Schedule, error) { return sched.BinomialBroadcast(p, 1) },
 			func(c *mpi.Comm) error {
-				return BinomialBroadcast(c, 0, make([]byte, blk))
+				return Broadcast(c, 0, make([]byte, blk))
 			}},
 	}
 	for _, tc := range cases {
@@ -120,22 +114,57 @@ func TestScheduleMatchesRuntimeTreeTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := scheduleTraffic(s, blk)
-			stats := mpi.NewStats()
-			if err := mpi.Run(p, func(c *mpi.Comm) error { return tc.run(c) }, mpi.WithStats(stats)); err != nil {
-				t.Fatal(err)
-			}
-			got := stats.PairBytes()
-			if len(got) != len(want) {
-				t.Errorf("schedule has %d communicating pairs, runtime %d", len(want), len(got))
-			}
-			for pair, bytes := range want {
-				if got[pair] != bytes {
-					t.Errorf("pair %v: schedule predicts %d bytes, runtime sent %d", pair, bytes, got[pair])
-				}
-			}
+			matchTraffic(t, s, p, blk, tc.run)
 		})
 	}
+}
+
+func TestNeighborExchangeScheduleVerifies(t *testing.T) {
+	for _, p := range []int{2, 4, 6, 8, 12, 16, 30, 64, 100} {
+		s, err := sched.NeighborExchange(p)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if err := s.VerifyAllgather(); err != nil {
+			t.Errorf("p=%d: %v", p, err)
+		}
+		if got, want := len(s.Stages), p/2; p > 2 && got != want {
+			t.Errorf("p=%d: %d stages, want %d", p, got, want)
+		}
+	}
+	if _, err := sched.NeighborExchange(5); err == nil {
+		t.Error("odd count accepted")
+	}
+	if _, err := sched.NeighborExchange(0); err == nil {
+		t.Error("p=0 accepted")
+	}
+}
+
+func TestNeighborExchangeScheduleMatchesRuntime(t *testing.T) {
+	const p, blk = 12, 32
+	s, err := sched.NeighborExchange(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchTraffic(t, s, p, blk, func(c *mpi.Comm) error {
+		return Allgather(c, input(c.Rank(), blk), make([]byte, p*blk), AlgNeighborExchange)
+	})
+}
+
+func TestRabenseifnerScheduleMatchesRuntimeTraffic(t *testing.T) {
+	const p, elems = 8, 16 // chunk = 2 elems = 16 bytes
+	s, err := sched.ReduceScatterAllgather(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := rabenseifnerProgram(t, p)
+	matchTraffic(t, s, p, elems*8/p, func(c *mpi.Comm) error {
+		buf := make([]byte, elems*8)
+		for j := 0; j < elems; j++ {
+			putU64(buf[j*8:], uint64(c.Rank()+j))
+		}
+		return ExecuteAllreduce(c, prog, buf, sumOp)
+	})
 }
 
 func TestStatsAccessors(t *testing.T) {

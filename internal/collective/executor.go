@@ -282,7 +282,7 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, buf []byte, blk int, place
 
 // ExecuteAllgather runs a compiled allgather program: rank r contributes
 // send and recv ends with every rank's block. place relocates contributors'
-// blocks in the output, exactly as in RingAllgather.
+// blocks in the output (see Placement).
 func ExecuteAllgather(c *mpi.Comm, prog *sched.Program, send, recv []byte, place Placement) error {
 	blk, err := checkAllgatherArgs(c, send, recv)
 	if err != nil {
@@ -340,11 +340,15 @@ func ExecuteScatter(c *mpi.Comm, prog *sched.Program, data, out []byte) error {
 	if blk == 0 {
 		return fmt.Errorf("collective: empty scatter output buffer")
 	}
-	buf := make([]byte, prog.Blocks*blk)
+	n := prog.Blocks * blk
+	if c.Rank() == prog.Root && len(data) != n {
+		return fmt.Errorf("collective: scatter root data is %d bytes, want %d", len(data), n)
+	}
+	// Pooled staging: the executor sends only blocks a rank possesses, so
+	// the pool's stale bytes never leave the rank.
+	buf := mpi.GetBuf(n)
+	defer mpi.FreeBuf(buf)
 	if c.Rank() == prog.Root {
-		if len(data) != len(buf) {
-			return fmt.Errorf("collective: scatter root data is %d bytes, want %d", len(data), len(buf))
-		}
 		copy(buf, data)
 	}
 	if err := executeProgram(c, prog, buf, blk, nil, nil); err != nil {
@@ -378,29 +382,10 @@ func ExecuteGather(c *mpi.Comm, prog *sched.Program, root int, send, recv []byte
 			return fmt.Errorf("collective: gather recv buffer is %d bytes, want %d", len(recv), prog.Blocks*blk)
 		}
 	} else {
-		buf = make([]byte, prog.Blocks*blk)
+		// Pooled staging, as in ExecuteScatter.
+		buf = mpi.GetBuf(prog.Blocks * blk)
+		defer mpi.FreeBuf(buf)
 	}
 	copy(buf[c.Rank()*blk:], send)
 	return executeProgram(c, prog, buf, blk, nil, nil)
-}
-
-// ScheduleHierarchicalAllgather runs the three-phase hierarchical allgather
-// through a compiled schedule. groups lists, per node, the member ranks
-// (leader first); unlike the Split-based HierarchicalAllgather the node
-// structure must be known identically on every rank, which lets the whole
-// composition compile to one static program.
-func ScheduleHierarchicalAllgather(c *mpi.Comm, send, recv []byte, groups [][]int, cfg sched.HierarchicalConfig) error {
-	s, err := sched.Hierarchical(groups, cfg)
-	if err != nil {
-		return err
-	}
-	prog, err := sched.CompileCached(s)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("hierarchical")()
-	name := "allgather/" + prog.Name
-	c.TraceEnter(name)
-	defer c.TraceExit(name)
-	return ExecuteAllgather(c, prog, send, recv, nil)
 }

@@ -181,6 +181,55 @@ func TestExecuteProgramSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestExecuteGatherSteadyStateAllocs extends the gate to the gather's
+// staging buffer: non-root ranks stage their p-block buffer from the mpi
+// buffer pool, so an off-root binomial gather round allocates nothing once
+// warm.
+func TestExecuteGatherSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector shadow state allocates on channel/pool operations")
+	}
+	const p, blk, root = 4, 64, 2
+	prog := rootedProgramFor(t, sched.FamilyGather, "binomial-gather", p, root)
+	if err := prog.EnsureExecutable(); err != nil {
+		t.Fatal(err)
+	}
+	want := expected(p, blk)
+	w := startSteadyWorld(p, func(c *mpi.Comm) error {
+		var recv []byte
+		if c.Rank() == root {
+			recv = recvScratch[c.Rank()]
+		}
+		if err := ExecuteGather(c, prog, root, inputs[c.Rank()], recv); err != nil {
+			return err
+		}
+		if c.Rank() == root && !bytes.Equal(recv, want) {
+			return fmt.Errorf("root %d: wrong gather output", root)
+		}
+		return nil
+	})
+	defer func() {
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		if err := w.round(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		if err := w.round(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Threshold as in TestExecuteProgramSteadyStateAllocs; a fresh staging
+	// buffer per non-root rank would read 3.
+	if avg > 0.5 {
+		t.Errorf("steady-state gather round allocates %.2f times, want 0", avg)
+	}
+}
+
 var (
 	inputs      = [][]byte{input(0, 64), input(1, 64), input(2, 64), input(3, 64)}
 	recvScratch = [][]byte{
@@ -191,9 +240,10 @@ var (
 // TestFrontDoorProgramWarmAllocs pins every rule-selected front door's
 // program resolution to the recipe-keyed compile cache: once warm, the
 // allgather (scheduleProgram, which Allgather, Reordered.Allgather and
-// runFlat share), allreduce and all-to-all (baselineProgram, shared by
-// Alltoall and Reordered.Alltoall) selections allocate nothing — so they
-// neither build a schedule nor fingerprint one — and count only cache hits.
+// runFlat share), allreduce, all-to-all and rooted (baselineProgram, shared
+// by Alltoall, Reordered.Alltoall and the rooted front doors at any root)
+// selections allocate nothing — so they neither build a schedule, nor
+// relabel it to its root, nor fingerprint it — and count only cache hits.
 func TestFrontDoorProgramWarmAllocs(t *testing.T) {
 	const p = 64
 	tuning := DefaultTuning()
@@ -212,8 +262,11 @@ func TestFrontDoorProgramWarmAllocs(t *testing.T) {
 			prog, _, err := tuning.allreduceProgram(p, 1024)
 			return prog, err
 		}},
-		{"alltoall/bruck", func() (*sched.Program, error) { return baselineProgram(sched.FamilyAlltoall, p, p*1024) }},
-		{"alltoall/pairwise", func() (*sched.Program, error) { return baselineProgram(sched.FamilyAlltoall, p, p*4096) }},
+		{"alltoall/bruck", func() (*sched.Program, error) { return baselineProgram(sched.FamilyAlltoall, p, p*1024, 0) }},
+		{"alltoall/pairwise", func() (*sched.Program, error) { return baselineProgram(sched.FamilyAlltoall, p, p*4096, 0) }},
+		{"bcast/off-root", func() (*sched.Program, error) { return baselineProgram(sched.FamilyBroadcast, p, 65536, 37) }},
+		{"gather/off-root", func() (*sched.Program, error) { return baselineProgram(sched.FamilyGather, p, 1024, 21) }},
+		{"scatter/off-root", func() (*sched.Program, error) { return baselineProgram(sched.FamilyScatter, p, 1024, p-1) }},
 	}
 	for _, l := range lookups {
 		want, err := l.resolve()

@@ -11,7 +11,7 @@ import (
 // BenchmarkScheduleExecutor measures the schedule pipeline's three costs:
 // cold compile (pricing view + executable expansion), warm compile (a cache
 // hit), and end-to-end execution on the goroutine runtime, compared against
-// the legacy hand-written loops at the same scale.
+// the hand-written ring reference loop at the same scale.
 func BenchmarkScheduleExecutor(b *testing.B) {
 	for _, p := range []int{64, 256, 1024} {
 		s, err := sched.Ring(p)
@@ -63,8 +63,8 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 	// allocs/op reflect executeProgram's steady state. The step loop is
 	// allocation-free (0 allocs/op): payload buffers cycle through the
 	// mpi buffer pool, offsets are memoized per (program, blk) and metric
-	// handles are cached per program name. SteadyStateLegacy runs the
-	// hand-written loops in the identical harness — the pair pins the
+	// handles are cached per program name. SteadyStateLegacy runs the ring
+	// reference loop in the identical harness — the pair pins the
 	// executor's data-path overhead without mpi.Run construction noise.
 	for _, tc := range []struct {
 		alg Algorithm
@@ -109,10 +109,11 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 		steady("SteadyState", func(c *mpi.Comm) error {
 			return ExecuteAllgather(c, prog, send[c.Rank()], recv[c.Rank()], nil)
 		})
-		alg := tc.alg
-		steady("SteadyStateLegacy", func(c *mpi.Comm) error {
-			return AllgatherLegacy(c, send[c.Rank()], recv[c.Rank()], alg)
-		})
+		if tc.alg == AlgRing {
+			steady("SteadyStateLegacy", func(c *mpi.Comm) error {
+				return refRingAllgather(c, send[c.Rank()], recv[c.Rank()], nil)
+			})
+		}
 	}
 
 	execCases := []struct {
@@ -145,11 +146,14 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 				}
 			}
 		})
+		if tc.alg != AlgRing {
+			continue
+		}
 		b.Run(fmt.Sprintf("ExecuteLegacy/%v/p%d", tc.alg, tc.p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				err := mpi.Run(tc.p, func(c *mpi.Comm) error {
 					recv := make([]byte, tc.p*blk)
-					return AllgatherLegacy(c, input(c.Rank(), blk), recv, tc.alg)
+					return refRingAllgather(c, input(c.Rank(), blk), recv, nil)
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -10,10 +10,10 @@ import (
 	"repro/internal/sched"
 )
 
-// runBoth runs the executor path and the legacy path in one world and
-// demands byte-identical outputs on every rank: the pinning contract of the
-// Schedule-IR unification.
-func runBoth(t *testing.T, p int, executor, legacy func(c *mpi.Comm, out []byte) error, outBytes int) {
+// runBoth runs the executor path and the family's reference loop in one
+// world and demands byte-identical outputs on every rank: the pinning
+// contract of the Schedule-IR unification.
+func runBoth(t *testing.T, p int, executor, reference func(c *mpi.Comm, out []byte) error, outBytes int) {
 	t.Helper()
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		got := make([]byte, outBytes)
@@ -21,11 +21,11 @@ func runBoth(t *testing.T, p int, executor, legacy func(c *mpi.Comm, out []byte)
 			return fmt.Errorf("executor: %w", err)
 		}
 		want := make([]byte, outBytes)
-		if err := legacy(c, want); err != nil {
-			return fmt.Errorf("legacy: %w", err)
+		if err := reference(c, want); err != nil {
+			return fmt.Errorf("reference: %w", err)
 		}
 		if !bytes.Equal(got, want) {
-			return fmt.Errorf("rank %d: executor output differs from legacy", c.Rank())
+			return fmt.Errorf("rank %d: executor output differs from the reference", c.Rank())
 		}
 		return nil
 	})
@@ -53,7 +53,7 @@ func TestExecutorMatchesLegacyAllgather(t *testing.T) {
 							return Allgather(c, input(c.Rank(), blk), out, tc.alg)
 						},
 						func(c *mpi.Comm, out []byte) error {
-							return AllgatherLegacy(c, input(c.Rank(), blk), out, tc.alg)
+							return refRingAllgather(c, input(c.Rank(), blk), out, nil)
 						},
 						p*blk)
 				})
@@ -63,16 +63,12 @@ func TestExecutorMatchesLegacyAllgather(t *testing.T) {
 }
 
 // TestExecutorMatchesLegacyPlaced pins the place-based in-algorithm order
-// fix: the executor must deposit blocks at exactly the offsets the legacy
-// placed loops use, for random rank reorderings.
+// fix: the executor must deposit blocks at exactly the offsets the placed
+// ring reference uses, for random rank reorderings.
 func TestExecutorMatchesLegacyPlaced(t *testing.T) {
 	const blk = 16
 	rnd := rand.New(rand.NewSource(7))
-	legacies := map[Algorithm]func(c *mpi.Comm, send, recv []byte, place Placement) error{
-		AlgRing:             RingAllgather,
-		AlgNeighborExchange: NeighborExchangeAllgather,
-	}
-	for alg, legacy := range legacies {
+	for _, alg := range []Algorithm{AlgRing, AlgNeighborExchange} {
 		for _, p := range []int{2, 6, 12} {
 			m := randomMapping(p, rnd)
 			place := func(j int) int { return m[j] }
@@ -86,7 +82,7 @@ func TestExecutorMatchesLegacyPlaced(t *testing.T) {
 						return ExecuteAllgather(c, prog, input(c.Rank(), blk), out, place)
 					},
 					func(c *mpi.Comm, out []byte) error {
-						return legacy(c, input(c.Rank(), blk), out, place)
+						return refRingAllgather(c, input(c.Rank(), blk), out, place)
 					},
 					p*blk)
 			})
@@ -142,7 +138,7 @@ func TestExecutorMatchesLegacyAllreduce(t *testing.T) {
 					for i := 0; i < elems; i++ {
 						putU64(out[i*8:], uint64(c.Rank()+i))
 					}
-					return AllreduceLegacy(c, out, sumOp)
+					return refAllreduce(c, out, sumOp)
 				},
 				elems*8)
 		})
@@ -172,7 +168,7 @@ func TestExecutorMatchesLegacyRabenseifner(t *testing.T) {
 					for i := 0; i < elems; i++ {
 						putU64(out[i*8:], uint64(c.Rank()*100+i))
 					}
-					return RabenseifnerAllreduce(c, out, sumOp)
+					return refAllreduce(c, out, sumOp)
 				},
 				elems*8)
 		})
@@ -204,7 +200,7 @@ func TestAllreduceSelection(t *testing.T) {
 
 // TestAllreduceFrontDoorLargeBuffer routes a threshold-sized buffer through
 // the front door, which must take the Rabenseifner schedule and still match
-// the legacy flat allreduce byte for byte.
+// the reference flat allreduce byte for byte.
 func TestAllreduceFrontDoorLargeBuffer(t *testing.T) {
 	const p = 8
 	n := RabenseifnerThresholdBytes // divisible by 8 ranks and by 8-byte elems
@@ -219,7 +215,7 @@ func TestAllreduceFrontDoorLargeBuffer(t *testing.T) {
 			for i := 0; i < len(out)/8; i++ {
 				putU64(out[i*8:], uint64(c.Rank()+i))
 			}
-			return AllreduceLegacy(c, out, sumOp)
+			return refAllreduce(c, out, sumOp)
 		},
 		n)
 }
@@ -252,11 +248,11 @@ func TestExecutorMatchesLegacyTrees(t *testing.T) {
 					if c.Rank() == 0 {
 						copy(out, input(0, blk))
 					}
-					return BinomialBroadcast(c, 0, out)
+					return refBroadcast(c, 0, out)
 				},
 				blk)
 		})
-		if p > 1 { // the legacy scatter-allgather broadcast needs p chunks
+		if p > 1 { // the scatter-allgather broadcast needs p chunks
 			t.Run(fmt.Sprintf("scatter-allgather-broadcast/p%d", p), func(t *testing.T) {
 				prog := bcastProg(t, sched.ScatterAllgatherBroadcast)
 				runBoth(t, p,
@@ -270,7 +266,7 @@ func TestExecutorMatchesLegacyTrees(t *testing.T) {
 						if c.Rank() == 0 {
 							copy(out, expected(p, blk))
 						}
-						return ScatterAllgatherBroadcast(c, 0, out)
+						return refBroadcast(c, 0, out)
 					},
 					p*blk)
 			})
@@ -290,7 +286,7 @@ func TestExecutorMatchesLegacyTrees(t *testing.T) {
 					if c.Rank() == 0 {
 						data = expected(p, blk)
 					}
-					return BinomialScatter(c, 0, data, out)
+					return refScatter(c, 0, data, out)
 				},
 				blk)
 		})
@@ -308,8 +304,8 @@ func TestExecutorMatchesLegacyTrees(t *testing.T) {
 					return fmt.Errorf("executor: %w", err)
 				}
 				want := gatherOut(c)
-				if err := BinomialGather(c, 0, input(c.Rank(), blk), want, nil); err != nil {
-					return fmt.Errorf("legacy: %w", err)
+				if err := refGather(c, 0, input(c.Rank(), blk), want); err != nil {
+					return fmt.Errorf("reference: %w", err)
 				}
 				if !bytes.Equal(got, want) {
 					return fmt.Errorf("rank %d: gather outputs differ", c.Rank())
@@ -323,9 +319,11 @@ func TestExecutorMatchesLegacyTrees(t *testing.T) {
 	}
 }
 
+// TestScheduleHierarchicalAllgather runs every hierarchical configuration
+// as one compiled program over four 3-rank nodes.
 func TestScheduleHierarchicalAllgather(t *testing.T) {
 	const blk = 8
-	groups := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}}
+	nodeOf := func(worldRank int) int { return worldRank / 3 }
 	p := 12
 	for _, cfg := range []sched.HierarchicalConfig{
 		{Intra: sched.Linear, Inter: sched.InterRing},
@@ -336,7 +334,7 @@ func TestScheduleHierarchicalAllgather(t *testing.T) {
 		t.Run(fmt.Sprintf("%v-%v", cfg.Intra, cfg.Inter), func(t *testing.T) {
 			err := mpi.Run(p, func(c *mpi.Comm) error {
 				recv := make([]byte, p*blk)
-				if err := ScheduleHierarchicalAllgather(c, input(c.Rank(), blk), recv, groups, cfg); err != nil {
+				if err := HierarchicalAllgather(c, input(c.Rank(), blk), recv, nodeOf, cfg); err != nil {
 					return err
 				}
 				if !bytes.Equal(recv, expected(p, blk)) {

@@ -30,21 +30,21 @@ func putRecipe(t *testing.T, tab *synth.Table, f synth.Family, p, payload int, r
 	return sch.Name
 }
 
-// frontDoorCase drives one rooted front door against its legacy baseline
+// frontDoorCase drives one rooted front door against its reference loop
 // and reports the two output buffers for comparison.
 type frontDoorCase struct {
 	family   synth.Family
 	recipe   synth.Recipe
 	payload  int                               // selector payload: whole buffer for bcast, block for gather/scatter
 	run      func(c *mpi.Comm) ([]byte, error) // front door
-	baseline func(c *mpi.Comm) ([]byte, error) // hand-coded legacy path
+	baseline func(c *mpi.Comm) ([]byte, error) // reference loop
 }
 
 // TestFrontDoorsByteIdentical is the satellite acceptance test: each rooted
 // front door (broadcast, gather, scatter), configured with a synth table
 // entry, executes the synthesized program — observable on the
 // schedule_executions_total label — and produces output byte-identical to
-// the hand-coded baseline.
+// the family's reference loop.
 func TestFrontDoorsByteIdentical(t *testing.T) {
 	const p, blk = 16, 512
 
@@ -88,7 +88,7 @@ func TestFrontDoorsByteIdentical(t *testing.T) {
 			},
 			baseline: func(c *mpi.Comm) ([]byte, error) {
 				data := bcastData(c)
-				return data, BinomialBroadcast(c, 0, data)
+				return data, refBroadcast(c, 0, data)
 			},
 		},
 		"gather": {
@@ -107,7 +107,7 @@ func TestFrontDoorsByteIdentical(t *testing.T) {
 				if c.Rank() == 0 {
 					recv = make([]byte, p*blk)
 				}
-				return recv, BinomialGather(c, 0, gatherSend(c), recv, nil)
+				return recv, refGather(c, 0, gatherSend(c), recv)
 			},
 		},
 		"scatter": {
@@ -120,7 +120,7 @@ func TestFrontDoorsByteIdentical(t *testing.T) {
 			},
 			baseline: func(c *mpi.Comm) ([]byte, error) {
 				out := make([]byte, blk)
-				return out, BinomialScatter(c, 0, scatterData(c), out)
+				return out, refScatter(c, 0, scatterData(c), out)
 			},
 		},
 	}
@@ -150,7 +150,7 @@ func TestFrontDoorsByteIdentical(t *testing.T) {
 					return fmt.Errorf("rank %d baseline: %w", c.Rank(), err)
 				}
 				if !bytes.Equal(got, want) {
-					return fmt.Errorf("rank %d: %s output differs from the hand-coded baseline", c.Rank(), label)
+					return fmt.Errorf("rank %d: %s output differs from the reference", c.Rank(), label)
 				}
 				return nil
 			})
@@ -170,15 +170,21 @@ func TestFrontDoorsByteIdentical(t *testing.T) {
 }
 
 // TestFrontDoorsOffRootFallBack: the synthesized programs are rooted at
-// rank 0, so a broadcast/gather/scatter rooted elsewhere must take the
-// hand-coded fallback and still deliver correct bytes.
+// rank 0, so a broadcast/gather/scatter rooted elsewhere misses the table,
+// falls back to the family baseline compiled at its root — executed by the
+// schedule executor, not a loop — and still delivers correct bytes.
 func TestFrontDoorsOffRootFallBack(t *testing.T) {
 	const p, blk, root = 8, 256, 3
 	tab := &synth.Table{Topology: "frontdoor-test"}
-	putRecipe(t, tab, synth.Broadcast, p, p*blk, synth.Recipe{Alg: "binomial-broadcast"})
-	putRecipe(t, tab, synth.Gather, p, blk, synth.Recipe{Alg: "binomial-gather"})
+	putRecipe(t, tab, synth.Broadcast, p, p*blk, synth.Recipe{Alg: "linear-broadcast"})
+	putRecipe(t, tab, synth.Gather, p, blk, synth.Recipe{Alg: "linear-gather"})
 	putRecipe(t, tab, synth.Scatter, p, blk, synth.Recipe{Alg: "binomial-scatter"})
 	sel := synth.NewSelector(tab)
+	builders := []string{"binomial-broadcast", "binomial-gather", "binomial-scatter"}
+	before := make([]uint64, len(builders))
+	for i, b := range builders {
+		before[i] = scheduleExecutions.With("algorithm", b).Value()
+	}
 
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
@@ -243,5 +249,84 @@ func TestFrontDoorsOffRootFallBack(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, b := range builders {
+		if got := scheduleExecutions.With("algorithm", b).Value() - before[i]; got != p {
+			t.Errorf("schedule_executions_total{algorithm=%q} advanced by %d, want %d", b, got, p)
+		}
+	}
+}
+
+// TestRootedFrontDoorsMatchReferences: at every root, each rooted front door
+// executes its baseline program compiled at that root — visible on the
+// builder's schedule_executions_total label — and its output is
+// byte-identical to the family's rooted reference loop.
+func TestRootedFrontDoorsMatchReferences(t *testing.T) {
+	const blk = 24
+	type door struct {
+		builder string
+		run     func(c *mpi.Comm, root int, ref bool) ([]byte, error)
+	}
+	doors := []door{
+		{"binomial-broadcast", func(c *mpi.Comm, root int, ref bool) ([]byte, error) {
+			data := make([]byte, c.Size()*blk)
+			if c.Rank() == root {
+				copy(data, expected(c.Size(), blk))
+			}
+			if ref {
+				return data, refBroadcast(c, root, data)
+			}
+			return data, Broadcast(c, root, data)
+		}},
+		{"binomial-gather", func(c *mpi.Comm, root int, ref bool) ([]byte, error) {
+			var recv []byte
+			if c.Rank() == root {
+				recv = make([]byte, c.Size()*blk)
+			}
+			if ref {
+				return recv, refGather(c, root, input(c.Rank(), blk), recv)
+			}
+			return recv, Gather(c, root, input(c.Rank(), blk), recv)
+		}},
+		{"binomial-scatter", func(c *mpi.Comm, root int, ref bool) ([]byte, error) {
+			var data []byte
+			if c.Rank() == root {
+				data = expected(c.Size(), blk)
+			}
+			out := make([]byte, blk)
+			if ref {
+				return out, refScatter(c, root, data, out)
+			}
+			return out, Scatter(c, root, data, out)
+		}},
+	}
+	for _, p := range []int{1, 2, 3, 7, 8, 64} {
+		roots := map[int]bool{0: true, 1 % p: true, p / 2: true, p - 1: true}
+		for root := range roots {
+			for _, d := range doors {
+				exec0 := scheduleExecutions.With("algorithm", d.builder).Value()
+				err := mpi.Run(p, func(c *mpi.Comm) error {
+					got, err := d.run(c, root, false)
+					if err != nil {
+						return fmt.Errorf("front door: %w", err)
+					}
+					want, err := d.run(c, root, true)
+					if err != nil {
+						return fmt.Errorf("reference: %w", err)
+					}
+					if !bytes.Equal(got, want) {
+						return fmt.Errorf("rank %d: output differs from the reference", c.Rank())
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s p=%d root=%d: %v", d.builder, p, root, err)
+				}
+				if got := scheduleExecutions.With("algorithm", d.builder).Value() - exec0; got != uint64(p) {
+					t.Errorf("%s p=%d root=%d: schedule_executions_total advanced by %d, want %d",
+						d.builder, p, root, got, p)
+				}
+			}
+		}
 	}
 }

@@ -75,17 +75,12 @@ func FuzzExecutorHierarchical(f *testing.F) {
 		if cfg.Inter == sched.InterRecursiveDoubling && g&(g-1) != 0 {
 			return
 		}
-		groups := make([][]int, g)
-		for i := 0; i < g; i++ {
-			for j := 0; j < k; j++ {
-				groups[i] = append(groups[i], i*k+j)
-			}
-		}
 		p := g * k
 		const blk = 4
+		nodeOf := func(worldRank int) int { return worldRank / k } // g contiguous nodes of k ranks
 		err := mpi.Run(p, func(c *mpi.Comm) error {
 			recv := make([]byte, p*blk)
-			if err := ScheduleHierarchicalAllgather(c, input(c.Rank(), blk), recv, groups, cfg); err != nil {
+			if err := HierarchicalAllgather(c, input(c.Rank(), blk), recv, nodeOf, cfg); err != nil {
 				return err
 			}
 			if !bytes.Equal(recv, expected(p, blk)) {

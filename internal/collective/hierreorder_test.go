@@ -77,7 +77,7 @@ func TestHierarchicalReorderedRespectsInfoKey(t *testing.T) {
 }
 
 func TestHierarchicalReorderedKeepsLeadersLocal(t *testing.T) {
-	// The reordered node communicators must keep their leaders on the same
+	// The reordered node phases must keep their leaders on the same
 	// process (the mappings fix rank 0), so the leader set — and hence the
 	// inter-node traffic endpoints — is unchanged. Verify by checking the
 	// traffic matrix only connects node leaders across nodes.
@@ -94,10 +94,9 @@ func TestHierarchicalReorderedKeepsLeadersLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pair, bytes := range stats.PairBytes() {
-		// Communicator management (Split/Reorder context exchanges) moves a
-		// few dozen bytes toward rank 0; data blocks carry at least 8+blk
-		// bytes. Only data traffic is constrained here.
-		if bytes < 8+blk {
+		// Every message of the compiled program carries at least one
+		// blk-byte block; anything smaller is not collective data.
+		if bytes < blk {
 			continue
 		}
 		srcNode := cluster.NodeOf(layout[pair[0]])

@@ -9,9 +9,9 @@ import (
 // Per-algorithm instrumentation on the default registry. Counts and
 // durations are recorded per participating rank: a ring allgather over an
 // 8-rank communicator contributes 8 invocations, mirroring how each rank
-// experiences the collective. The phase label distinguishes the three
-// phases of the hierarchical composition; flat algorithms record a single
-// "total" phase.
+// experiences the collective. Every collective records a single "total"
+// phase; per-stage times come from the executor's schedule_stage_seconds
+// and flight-recorder profiles.
 var (
 	collectiveInvocations = metrics.NewCounterVec("collective_invocations_total",
 		"Collective invocations, one per participating rank.", "algorithm")
@@ -35,25 +35,31 @@ var (
 		"Payload bytes sent by the schedule executor.", "algorithm")
 )
 
-// knownAlgorithms pre-registers the per-algorithm series so that /metrics
-// exposes every family with zero values before the first collective runs.
+// knownAlgorithms pre-registers the collective_invocations_total label of
+// every front door's rule-selected path, so that /metrics exposes each with
+// zero values before the first collective runs: the flat allgather
+// algorithms, the allreduce selection's labels, the rooted and all-to-all
+// baselines (labelled by program), and the reordered and hierarchical
+// entry points. A synthesized program is labelled by its own name and
+// appears on first use.
 var knownAlgorithms = []string{
 	"ring", "recursive-doubling", "bruck", "neighbor-exchange",
-	"binomial-broadcast", "linear-broadcast", "binomial-gather",
-	"linear-gather", "binomial-scatter", "scatter-allgather-broadcast",
-	"hierarchical", "hierarchical-reordered", "reordered",
-	"allreduce", "hierarchical-allreduce", "rabenseifner", "binomial-reduce",
+	"allreduce", "rabenseifner",
+	"binomial-broadcast", "binomial-gather", "binomial-scatter",
+	"pairwise-alltoall", "bruck-alltoall",
+	"reordered", "hierarchical", "hierarchical-reordered", "hierarchical-allreduce",
 }
 
-// knownSchedules pre-registers the executor series for every compiled
-// program name the selection tables can produce.
+// knownSchedules pre-registers the executor series of every program those
+// paths run.
 var knownSchedules = []string{
 	"ring", "recursive-doubling", "bruck", "neighbor-exchange",
 	"allreduce", "reduce-scatter-allgather",
-	"binomial-gather", "binomial-broadcast", "linear-gather",
-	"linear-broadcast", "binomial-scatter", "scatter-allgather-broadcast",
+	"binomial-broadcast", "binomial-gather", "binomial-scatter",
+	"pairwise-alltoall", "bruck-alltoall",
 	"hierarchical-linear-ring", "hierarchical-linear-recursive-doubling",
 	"hierarchical-non-linear-ring", "hierarchical-non-linear-recursive-doubling",
+	"hierarchical-allreduce",
 }
 
 func init() {
@@ -79,9 +85,4 @@ func beginCollective(alg string) func() {
 	return func() {
 		collectivePhase.With("algorithm", alg, "phase", "total").Observe(time.Since(start).Seconds())
 	}
-}
-
-// observePhase records one named sub-phase duration of alg.
-func observePhase(alg, phase string, start time.Time) {
-	collectivePhase.With("algorithm", alg, "phase", phase).Observe(time.Since(start).Seconds())
 }

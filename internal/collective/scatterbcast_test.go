@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/sched"
 )
 
 func TestBinomialScatter(t *testing.T) {
@@ -22,7 +23,7 @@ func TestBinomialScatter(t *testing.T) {
 					in = data
 				}
 				out := make([]byte, chunk)
-				if err := BinomialScatter(c, root, in, out); err != nil {
+				if err := Scatter(c, root, in, out); err != nil {
 					return err
 				}
 				want := data[c.Rank()*chunk : (c.Rank()+1)*chunk]
@@ -40,14 +41,14 @@ func TestBinomialScatter(t *testing.T) {
 
 func TestBinomialScatterErrors(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		if err := BinomialScatter(c, 5, nil, make([]byte, 4)); err == nil {
+		if err := Scatter(c, 5, nil, make([]byte, 4)); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
-		if err := BinomialScatter(c, 0, nil, nil); err == nil {
+		if err := Scatter(c, 0, nil, nil); err == nil {
 			return fmt.Errorf("empty chunk accepted")
 		}
 		if c.Rank() == 0 {
-			if err := BinomialScatter(c, 0, make([]byte, 3), make([]byte, 4)); err == nil {
+			if err := Scatter(c, 0, make([]byte, 3), make([]byte, 4)); err == nil {
 				return fmt.Errorf("short root data accepted")
 			}
 		}
@@ -58,9 +59,13 @@ func TestBinomialScatterErrors(t *testing.T) {
 	}
 }
 
+// TestScatterAllgatherBroadcast runs the large-message broadcast program
+// (binomial scatter, then ring allgather of the chunks) relabelled to each
+// root.
 func TestScatterAllgatherBroadcast(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 6, 8, 16} {
 		for _, root := range []int{0, p - 1} {
+			prog := rootedProgramFor(t, sched.FamilyBroadcast, "scatter-allgather-broadcast", p, root)
 			msg := make([]byte, p*16)
 			for i := range msg {
 				msg[i] = byte(i*7 + 1)
@@ -70,7 +75,7 @@ func TestScatterAllgatherBroadcast(t *testing.T) {
 				if c.Rank() == root {
 					copy(buf, msg)
 				}
-				if err := ScatterAllgatherBroadcast(c, root, buf); err != nil {
+				if err := ExecuteBroadcast(c, prog, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, msg) {
@@ -86,8 +91,9 @@ func TestScatterAllgatherBroadcast(t *testing.T) {
 }
 
 func TestScatterAllgatherBroadcastRejectsIndivisible(t *testing.T) {
+	prog := rootedProgramFor(t, sched.FamilyBroadcast, "scatter-allgather-broadcast", 3, 0)
 	err := mpi.Run(3, func(c *mpi.Comm) error {
-		if err := ScatterAllgatherBroadcast(c, 0, make([]byte, 4)); err == nil {
+		if err := ExecuteBroadcast(c, prog, make([]byte, 4)); err == nil {
 			return fmt.Errorf("indivisible buffer accepted")
 		}
 		return nil

@@ -72,8 +72,8 @@ func TestSynthTableEndToEnd(t *testing.T) {
 			return fmt.Errorf("table-driven allgather: %w", err)
 		}
 		want := make([]byte, p*blk)
-		if err := AllgatherLegacy(c, send, want, AlgAuto); err != nil {
-			return fmt.Errorf("legacy allgather: %w", err)
+		if err := refRingAllgather(c, send, want, nil); err != nil {
+			return fmt.Errorf("reference allgather: %w", err)
 		}
 		if !bytes.Equal(got, want) {
 			return fmt.Errorf("rank %d: synthesized schedule output differs from legacy", c.Rank())

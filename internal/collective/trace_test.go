@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -48,7 +49,7 @@ func TestRingStagesAnnotated(t *testing.T) {
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		send := bytes.Repeat([]byte{byte(c.Rank())}, blk)
 		recv := make([]byte, p*blk)
-		return RingAllgather(c, send, recv, nil)
+		return Allgather(c, send, recv, AlgRing)
 	}, mpi.WithTracer(rec))
 	if err != nil {
 		t.Fatal(err)
@@ -58,33 +59,66 @@ func TestRingStagesAnnotated(t *testing.T) {
 	}
 }
 
+// TestHierarchicalPhasesAnnotated: the hierarchical allgather is one
+// compiled program, so its trace is the executor's allgather/<program> span
+// with one stage point per executed stage, and its flight-recorder profile
+// times every pricing stage of the composition.
 func TestHierarchicalPhasesAnnotated(t *testing.T) {
 	const p, blk = 8, 8
+	cfg := sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRecursiveDoubling}
+	nodeOf := func(worldRank int) int { return worldRank / 2 }
+	s, err := sched.Hierarchical(sched.Groups([]int{0, 1, 2, 3, 4, 5, 6, 7}, nodeOf), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := sched.CompileCached(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prog.EnsureExecutable(); err != nil {
+		t.Fatal(err)
+	}
 	rec := trace.NewRecorder()
-	err := mpi.Run(p, func(c *mpi.Comm) error {
+	flight := obs.NewRecorder(4)
+	err = mpi.Run(p, func(c *mpi.Comm) error {
+		if c.Rank() == 0 {
+			Configure(c, Config{Flight: flight})
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
 		send := bytes.Repeat([]byte{byte(c.Rank())}, blk)
 		recv := make([]byte, p*blk)
-		return HierarchicalAllgather(c, send, recv,
-			func(worldRank int) int { return worldRank / 2 },
-			sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRecursiveDoubling})
+		return HierarchicalAllgather(c, send, recv, nodeOf, cfg)
 	}, mpi.WithTracer(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	enters := countNamed(rec, trace.KindCollectiveEnter)
 	exits := countNamed(rec, trace.KindCollectiveExit)
-	for _, phase := range []string{
-		"allgather/hierarchical", "hierarchical/gather",
-		"hierarchical/inter", "hierarchical/bcast",
-	} {
-		if enters[phase] != p || exits[phase] != p {
-			t.Errorf("phase %q enter/exit = %d/%d, want %d/%d",
-				phase, enters[phase], exits[phase], p, p)
+	span := "allgather/" + prog.Name
+	if enters[span] != p || exits[span] != p {
+		t.Errorf("span %q enter/exit = %d/%d, want %d/%d (all: %v)", span, enters[span], exits[span], p, p, enters)
+	}
+	points := 0
+	for r := 0; r < p; r++ {
+		cur := int32(-1)
+		for _, st := range prog.RankSteps(r) {
+			if st.Stage != cur {
+				points++
+				cur = st.Stage
+			}
 		}
 	}
-	// Split events for the node and leader communicators appear too.
-	if rec.Count(trace.KindCommSplit) == 0 {
-		t.Error("hierarchical run recorded no comm-split events")
+	if got := rec.Count(trace.KindPoint); got != points {
+		t.Errorf("stage points = %d, want %d", got, points)
+	}
+	profiles := flight.Snapshot()
+	if len(profiles) != 1 {
+		t.Fatalf("flight recorder holds %d profiles, want 1", len(profiles))
+	}
+	if got := profiles[0]; got.Program != prog.Name || int(got.Stages) != len(prog.Stages) {
+		t.Errorf("profile %q with %d stages, want %q with %d", got.Program, got.Stages, prog.Name, len(prog.Stages))
 	}
 }
 
@@ -96,7 +130,7 @@ func TestUntracedWorldRecordsNothing(t *testing.T) {
 		}
 		send := bytes.Repeat([]byte{byte(c.Rank())}, blk)
 		recv := make([]byte, p*blk)
-		return RingAllgather(c, send, recv, nil)
+		return Allgather(c, send, recv, AlgRing)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,13 +66,6 @@ func MeasureRuntime(p, msgBytes int, alg collective.Algorithm, warmup, iters int
 	return measure(p, msgBytes, alg, warmup, iters, collective.Allgather, opts...)
 }
 
-// MeasureRuntimeLegacy times the hand-written per-algorithm loops instead of
-// the schedule executor; the delta against MeasureRuntime isolates the
-// executor's interpretation overhead.
-func MeasureRuntimeLegacy(p, msgBytes int, alg collective.Algorithm, warmup, iters int, opts ...mpi.Option) (RuntimeResult, error) {
-	return measure(p, msgBytes, alg, warmup, iters, collective.AllgatherLegacy, opts...)
-}
-
 func measure(p, msgBytes int, alg collective.Algorithm, warmup, iters int,
 	allgather func(*mpi.Comm, []byte, []byte, collective.Algorithm) error, opts ...mpi.Option) (RuntimeResult, error) {
 	if iters <= 0 {

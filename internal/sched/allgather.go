@@ -118,7 +118,7 @@ func BinomialGather(p int) (*Schedule, error) {
 // BinomialBroadcast builds the binomial-tree broadcast schedule from root 0:
 // log2(p) stages with a fixed message size of blocks blocks per transfer.
 // The tree is the same clear-lowest-bit binomial tree that MPI libraries,
-// the runtime implementation (collective.BinomialBroadcast) and the BBMH
+// the runtime's reference loop and the BBMH
 // heuristic use: stages descend from the widest stride, so at stage s every
 // rank that already holds the message and is aligned to 2^(s+1) forwards it
 // to its partner 2^s away. The number of concurrent transfers doubles each

@@ -129,13 +129,15 @@ func (f *fingerprinter) sum() string {
 const compileCacheCap = 64
 
 // recipeKey names a base schedule by how it is built rather than by what it
-// contains: family, registered builder name and rank count. Builders are
-// deterministic, so a recipe determines its schedule — and hence its
+// contains: family, registered builder name, rank count and root (0 for
+// unrooted families). Builders are deterministic and rooted is a pure
+// relabelling, so a recipe determines its schedule — and hence its
 // fingerprint — and a warm lookup needs neither the build nor the hash.
 type recipeKey struct {
 	family  FamilyID
 	builder string
 	p       int
+	root    int
 }
 
 type cacheEntry struct {
@@ -223,11 +225,15 @@ func compileRecipe(key recipeKey, build Builder) (*Program, error) {
 	return call.prog, call.err
 }
 
-// resolveRecipe serves a recipe miss: build the schedule once, fingerprint
-// it, resolve it through the fingerprint entry (compiling only when that
-// misses too), and alias the recipe key to the resulting program.
+// resolveRecipe serves a recipe miss: build the schedule once, relabel it
+// to the recipe's root, fingerprint it, resolve it through the fingerprint
+// entry (compiling only when that misses too), and alias the recipe key to
+// the resulting program.
 func resolveRecipe(key recipeKey, build Builder) (*Program, error) {
 	s, err := build(key.p)
+	if err == nil {
+		s, err = rooted(s, key.root)
+	}
 	if err != nil {
 		scheduleCacheMisses.Inc()
 		return nil, err

@@ -10,7 +10,7 @@ import (
 // FamilyID identifies a collective family. The numeric values are stable:
 // they participate in synth table keys and in the per-family registries of
 // the layers above (package synth attaches seed recipes and operators,
-// package collective attaches executor entries and legacy reference loops).
+// package collective's tests attach executor entries and reference loops).
 type FamilyID uint8
 
 const (
@@ -83,16 +83,22 @@ func (f *Family) Build(name string, p int) (*Schedule, error) {
 }
 
 // BuildCached returns the compiled named base schedule over p ranks — the
-// form runtime front doors consume. The process-wide schedule cache is keyed
-// by the recipe (family, builder, p), so a warm lookup builds nothing,
-// hashes nothing and allocates nothing; a miss builds once and shares the
-// program CompileCached holds for the same schedule.
+// form runtime front doors consume. It is BuildCachedAt at root 0.
 func (f *Family) BuildCached(name string, p int) (*Program, error) {
+	return f.BuildCachedAt(name, p, 0)
+}
+
+// BuildCachedAt returns the compiled named base schedule over p ranks,
+// relabelled by rooted to run from root. The process-wide schedule cache is
+// keyed by the recipe (family, builder, p, root), so a warm lookup at any
+// root builds nothing, hashes nothing and allocates nothing; a miss builds
+// once and shares the program CompileCached holds for the same schedule.
+func (f *Family) BuildCachedAt(name string, p, root int) (*Program, error) {
 	b, ok := f.Builders[name]
 	if !ok {
 		return nil, fmt.Errorf("sched: family %q has no base builder %q", f.Name, name)
 	}
-	return compileRecipe(recipeKey{family: f.ID, builder: name, p: p}, b)
+	return compileRecipe(recipeKey{family: f.ID, builder: name, p: p, root: root}, b)
 }
 
 // BuilderNames returns the family's base-builder names, sorted.

@@ -82,7 +82,7 @@ func FuzzHierarchicalVerify(f *testing.F) {
 				groups[i] = append(groups[i], i*k+j)
 			}
 		}
-		s, err := Hierarchical(groups, HierarchicalConfig{Intra: intra, Inter: inter})
+		s, err := Hierarchical(groups, nil, HierarchicalConfig{Intra: intra, Inter: inter})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,39 +60,33 @@ type HierarchicalConfig struct {
 //	phase 3 — broadcast of the full result from each leader to its node
 //
 // groups lists, per node, the ranks residing there, leader first; every rank
-// 0..p-1 must appear exactly once. All groups must have equal size (the
-// paper's dedicated, fully populated allocations) and, when the ring
-// inter-node algorithm is selected, each group must be a contiguous rank
-// range so that forwarded node-block sets stay contiguous — which is exactly
-// the block-layout restriction the paper notes ("hierarchical allgather is
-// not supported with cyclic mapping").
-func Hierarchical(groups [][]int, cfg HierarchicalConfig) (*Schedule, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("sched: hierarchical needs at least one group")
+// 0..p-1 must appear exactly once. The member order of a group is its rank
+// order inside the gather tree and the order of groups is the leaders' rank
+// order in the inter-leader phase, so a rank reordering of either phase is a
+// permutation of these lists. bcast, when non-nil, gives the broadcast
+// phase its own member order: per group, a permutation of the same members
+// with the same leader. All groups must have equal size (the paper's
+// dedicated, fully populated allocations) and, when the ring inter-node
+// algorithm is selected, each group must be a contiguous rank range so that
+// forwarded node-block sets stay contiguous — which is exactly the
+// block-layout restriction the paper notes ("hierarchical allgather is not
+// supported with cyclic mapping").
+func Hierarchical(groups, bcast [][]int, cfg HierarchicalConfig) (*Schedule, error) {
+	p, err := checkGroups(groups)
+	if err != nil {
+		return nil, err
 	}
 	k := len(groups[0])
-	p := 0
 	for gi, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("sched: hierarchical group %d is empty", gi)
-		}
 		if len(g) != k {
 			return nil, fmt.Errorf("sched: hierarchical groups must be uniform: group 0 has %d ranks, group %d has %d",
 				k, gi, len(g))
 		}
-		p += len(g)
 	}
-	seen := make([]bool, p)
-	for gi, g := range groups {
-		for _, r := range g {
-			if r < 0 || r >= p {
-				return nil, fmt.Errorf("sched: hierarchical group %d contains rank %d outside 0..%d", gi, r, p-1)
-			}
-			if seen[r] {
-				return nil, fmt.Errorf("sched: rank %d appears in more than one group", r)
-			}
-			seen[r] = true
-		}
+	if bcast == nil {
+		bcast = groups
+	} else if err := checkReordered(groups, bcast, p); err != nil {
+		return nil, err
 	}
 	s := &Schedule{Name: fmt.Sprintf("hierarchical-%s-%s", cfg.Intra, cfg.Inter), P: p}
 
@@ -105,23 +99,123 @@ func Hierarchical(groups [][]int, cfg HierarchicalConfig) (*Schedule, error) {
 	s.Stages = append(s.Stages, gatherStages...)
 
 	// Phase 2: inter-leader allgather over aggregated node blocks.
-	leaders := make([]int, len(groups))
-	for gi, g := range groups {
-		leaders[gi] = g[0]
-	}
-	interStages, err := interPhase(groups, leaders, cfg.Inter)
+	interStages, err := interPhase(groups, leadersOf(groups), cfg.Inter)
 	if err != nil {
 		return nil, err
 	}
 	s.Stages = append(s.Stages, interStages...)
 
 	// Phase 3: intra-node broadcast of the complete result.
-	bcastStages, err := intraPhase(groups, cfg.Intra, false)
+	bcastStages, err := intraPhase(bcast, cfg.Intra, false)
 	if err != nil {
 		return nil, err
 	}
 	s.Stages = append(s.Stages, bcastStages...)
 	return s, nil
+}
+
+// HierarchicalAllreduce builds the hierarchical reduce + broadcast allreduce
+// over node groups (leader first; populations may differ, since reductions
+// combine rather than concatenate): a binomial reduce inside every node
+// into its leader, a binomial reduce and broadcast among the leaders, and a
+// binomial broadcast inside every node. Like BinomialReduceBroadcast, the
+// block space is one block every rank starts with its own partial value of
+// (InitAll), and every phase reuses the patterns BGMH and BBMH optimise.
+func HierarchicalAllreduce(groups [][]int) (*Schedule, error) {
+	p, err := checkGroups(groups)
+	if err != nil {
+		return nil, err
+	}
+	s := &Schedule{Name: "hierarchical-allreduce", P: p, Blocks: 1, Init: InitAll}
+	// Every phase is part of the flat binomial reduce + broadcast over its
+	// groups — halves [from, to) of that schedule's stages, whose first
+	// half reduces into local rank 0 and whose second broadcasts from it.
+	for _, ph := range []struct {
+		groups   [][]int
+		from, to int
+	}{
+		{groups, 0, 1},                     // intra-node reduce
+		{[][]int{leadersOf(groups)}, 0, 2}, // leader reduce + broadcast
+		{groups, 1, 2},                     // intra-node broadcast
+	} {
+		stages, err := mergeGroups(ph.groups, func(n int) ([]Stage, error) {
+			rb, err := BinomialReduceBroadcast(n)
+			if err != nil {
+				return nil, err
+			}
+			half := len(rb.Stages) / 2
+			return rb.Stages[ph.from*half : ph.to*half], nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.Stages = append(s.Stages, stages...)
+	}
+	return s, nil
+}
+
+// checkGroups checks that groups partition the ranks 0..p-1 into non-empty
+// groups and returns p.
+func checkGroups(groups [][]int) (int, error) {
+	if len(groups) == 0 {
+		return 0, fmt.Errorf("sched: hierarchical needs at least one group")
+	}
+	p := 0
+	for gi, g := range groups {
+		if len(g) == 0 {
+			return 0, fmt.Errorf("sched: hierarchical group %d is empty", gi)
+		}
+		p += len(g)
+	}
+	seen := make([]bool, p)
+	for gi, g := range groups {
+		for _, r := range g {
+			if r < 0 || r >= p {
+				return 0, fmt.Errorf("sched: hierarchical group %d contains rank %d outside 0..%d", gi, r, p-1)
+			}
+			if seen[r] {
+				return 0, fmt.Errorf("sched: rank %d appears in more than one group", r)
+			}
+			seen[r] = true
+		}
+	}
+	return p, nil
+}
+
+// checkReordered checks that order lists, per group, a permutation of the
+// group's members that keeps its leader.
+func checkReordered(groups, order [][]int, p int) error {
+	if len(order) != len(groups) {
+		return fmt.Errorf("sched: hierarchical broadcast order has %d groups, want %d", len(order), len(groups))
+	}
+	owner := make([]int, p)
+	for gi, g := range groups {
+		for _, r := range g {
+			owner[r] = gi
+		}
+	}
+	for gi, g := range order {
+		if len(g) != len(groups[gi]) || g[0] != groups[gi][0] {
+			return fmt.Errorf("sched: hierarchical broadcast order of group %d is not a leader-first permutation of its members", gi)
+		}
+		seen := make(map[int]bool, len(g))
+		for _, r := range g {
+			if r < 0 || r >= p || owner[r] != gi || seen[r] {
+				return fmt.Errorf("sched: hierarchical broadcast order of group %d is not a leader-first permutation of its members", gi)
+			}
+			seen[r] = true
+		}
+	}
+	return nil
+}
+
+// leadersOf returns every group's leader (its first member), in group order.
+func leadersOf(groups [][]int) []int {
+	leaders := make([]int, len(groups))
+	for gi, g := range groups {
+		leaders[gi] = g[0]
+	}
+	return leaders
 }
 
 // IntraGather builds the standalone phase-1 schedule: per-node gathers into
@@ -167,20 +261,9 @@ func intraPhase(groups [][]int, kind IntraKind, gather bool) ([]Stage, error) {
 	for _, g := range groups {
 		p += len(g)
 	}
-	var merged []Stage
-	ensure := func(i int) *Stage {
-		for len(merged) <= i {
-			merged = append(merged, Stage{})
-		}
-		return &merged[i]
-	}
-	for _, g := range groups {
+	return mergeGroups(groups, func(n int) ([]Stage, error) {
 		var local *Schedule
 		var err error
-		n := len(g)
-		if n == 1 {
-			continue
-		}
 		switch {
 		case kind == Linear && gather:
 			local, err = LinearGather(n)
@@ -194,8 +277,31 @@ func intraPhase(groups [][]int, kind IntraKind, gather bool) ([]Stage, error) {
 		if err != nil {
 			return nil, err
 		}
-		for si, st := range local.Stages {
-			out := ensure(si)
+		return local.Stages, nil
+	})
+}
+
+// mergeGroups builds every group's local stages with build (over the
+// group's size, local rank i standing for member g[i]), relabels them into
+// the global rank space, and merges them stage by stage, so the groups
+// proceed concurrently. Single-member groups contribute nothing.
+func mergeGroups(groups [][]int, build func(n int) ([]Stage, error)) ([]Stage, error) {
+	var merged []Stage
+	for _, g := range groups {
+		if len(g) == 1 {
+			continue
+		}
+		local, err := build(len(g))
+		if err != nil {
+			return nil, err
+		}
+		for si, st := range local {
+			// Every group runs the same builder, so stage si is a reduce
+			// stage in all of them or in none.
+			if si == len(merged) {
+				merged = append(merged, Stage{Reduce: st.Reduce})
+			}
+			out := &merged[si]
 			for _, tr := range st.Transfers {
 				g0 := tr
 				g0.Src, g0.Dst = int32(g[tr.Src]), int32(g[tr.Dst])

@@ -32,7 +32,7 @@ func TestHierarchicalVerifies(t *testing.T) {
 	for _, cfg := range allHierConfigs() {
 		for _, shape := range [][2]int{{1, 4}, {2, 4}, {4, 8}, {8, 8}, {16, 4}} {
 			groups := contiguousGroups(shape[0], shape[1])
-			s, err := Hierarchical(groups, cfg)
+			s, err := Hierarchical(groups, nil, cfg)
 			if err != nil {
 				t.Fatalf("%v %v: %v", cfg, shape, err)
 			}
@@ -47,42 +47,42 @@ func TestHierarchicalNonContiguousGroups(t *testing.T) {
 	// Interleaved groups (a cyclic layout) verify with recursive doubling
 	// but are rejected by the ring inter phase.
 	groups := [][]int{{0, 2, 4, 6}, {1, 3, 5, 7}}
-	s, err := Hierarchical(groups, HierarchicalConfig{NonLinear, InterRecursiveDoubling})
+	s, err := Hierarchical(groups, nil, HierarchicalConfig{NonLinear, InterRecursiveDoubling})
 	if err != nil {
 		t.Fatalf("rd: %v", err)
 	}
 	if err := s.VerifyAllgather(); err != nil {
 		t.Errorf("rd: %v", err)
 	}
-	if _, err := Hierarchical(groups, HierarchicalConfig{NonLinear, InterRing}); err == nil {
+	if _, err := Hierarchical(groups, nil, HierarchicalConfig{NonLinear, InterRing}); err == nil {
 		t.Error("ring inter accepted non-contiguous groups")
 	}
 }
 
 func TestHierarchicalErrors(t *testing.T) {
-	if _, err := Hierarchical(nil, HierarchicalConfig{}); err == nil {
+	if _, err := Hierarchical(nil, nil, HierarchicalConfig{}); err == nil {
 		t.Error("empty groups accepted")
 	}
-	if _, err := Hierarchical([][]int{{0, 1}, {2}}, HierarchicalConfig{}); err == nil {
+	if _, err := Hierarchical([][]int{{0, 1}, {2}}, nil, HierarchicalConfig{}); err == nil {
 		t.Error("non-uniform groups accepted")
 	}
-	if _, err := Hierarchical([][]int{{0}, {0}}, HierarchicalConfig{}); err == nil {
+	if _, err := Hierarchical([][]int{{0}, {0}}, nil, HierarchicalConfig{}); err == nil {
 		t.Error("duplicate rank accepted")
 	}
-	if _, err := Hierarchical([][]int{{0}, {5}}, HierarchicalConfig{}); err == nil {
+	if _, err := Hierarchical([][]int{{0}, {5}}, nil, HierarchicalConfig{}); err == nil {
 		t.Error("out-of-range rank accepted")
 	}
-	if _, err := Hierarchical([][]int{{0}, {}}, HierarchicalConfig{}); err == nil {
+	if _, err := Hierarchical([][]int{{0}, {}}, nil, HierarchicalConfig{}); err == nil {
 		t.Error("empty group accepted")
 	}
 	// Recursive doubling inter phase requires power-of-two group count.
-	if _, err := Hierarchical(contiguousGroups(3, 2), HierarchicalConfig{Linear, InterRecursiveDoubling}); err == nil {
+	if _, err := Hierarchical(contiguousGroups(3, 2), nil, HierarchicalConfig{Linear, InterRecursiveDoubling}); err == nil {
 		t.Error("3 groups accepted for recursive-doubling inter phase")
 	}
 }
 
 func TestHierarchicalSingleGroup(t *testing.T) {
-	s, err := Hierarchical(contiguousGroups(1, 8), HierarchicalConfig{NonLinear, InterRing})
+	s, err := Hierarchical(contiguousGroups(1, 8), nil, HierarchicalConfig{NonLinear, InterRing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestHierarchicalSingleGroup(t *testing.T) {
 func TestHierarchicalBroadcastVolume(t *testing.T) {
 	// Phase 3 transfers must carry the full p blocks.
 	p := 16
-	s, err := Hierarchical(contiguousGroups(4, 4), HierarchicalConfig{Linear, InterRing})
+	s, err := Hierarchical(contiguousGroups(4, 4), nil, HierarchicalConfig{Linear, InterRing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestHierarchicalPatterns(t *testing.T) {
 }
 
 func TestHierarchicalName(t *testing.T) {
-	s, err := Hierarchical(contiguousGroups(2, 2), HierarchicalConfig{NonLinear, InterRing})
+	s, err := Hierarchical(contiguousGroups(2, 2), nil, HierarchicalConfig{NonLinear, InterRing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestNeedsOrderFix(t *testing.T) {
 		{func() (*Schedule, error) { return BinomialBroadcast(8, 1) }, false},
 		{func() (*Schedule, error) { return LinearGather(8) }, false},
 		{func() (*Schedule, error) {
-			return Hierarchical(contiguousGroups(2, 4), HierarchicalConfig{Linear, InterRing})
+			return Hierarchical(contiguousGroups(2, 4), nil, HierarchicalConfig{Linear, InterRing})
 		}, false},
 		{func() (*Schedule, error) {
-			return Hierarchical(contiguousGroups(2, 4), HierarchicalConfig{Linear, InterRecursiveDoubling})
+			return Hierarchical(contiguousGroups(2, 4), nil, HierarchicalConfig{Linear, InterRecursiveDoubling})
 		}, true},
 		{func() (*Schedule, error) {
-			return Hierarchical(contiguousGroups(2, 4), HierarchicalConfig{NonLinear, InterRing})
+			return Hierarchical(contiguousGroups(2, 4), nil, HierarchicalConfig{NonLinear, InterRing})
 		}, true},
 	}
 	for _, tc := range cases {
@@ -281,5 +281,55 @@ func TestWithOrderPreservationErrors(t *testing.T) {
 	}
 	if _, err := WithOrderPreservation(s, core.Mapping{1, 0, 2, 3, 4, 5, 6, 7}, OrderMode(42)); err == nil {
 		t.Error("unknown order mode accepted")
+	}
+}
+
+// TestHierarchicalBroadcastOrder: a broadcast phase with its own member
+// order (a reordered node communicator) still verifies, and an order that
+// moves the leader or strays outside its group is rejected.
+func TestHierarchicalBroadcastOrder(t *testing.T) {
+	groups := contiguousGroups(2, 4)
+	bcast := [][]int{{0, 3, 1, 2}, {4, 6, 7, 5}}
+	for _, cfg := range allHierConfigs() {
+		s, err := Hierarchical(groups, bcast, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", cfg, err)
+		}
+		if err := s.VerifyAllgather(); err != nil {
+			t.Errorf("%v: %v", cfg, err)
+		}
+	}
+	for _, bad := range [][][]int{
+		{{1, 0, 2, 3}, {4, 5, 6, 7}}, // leader moved
+		{{0, 1, 2, 4}, {3, 5, 6, 7}}, // member of another group
+		{{0, 1, 1, 2}, {4, 5, 6, 7}}, // duplicate
+		{{0, 1, 2, 3}},               // group missing
+	} {
+		if _, err := Hierarchical(groups, bad, HierarchicalConfig{NonLinear, InterRing}); err == nil {
+			t.Errorf("broadcast order %v accepted", bad)
+		}
+	}
+}
+
+func TestHierarchicalAllreduceVerifies(t *testing.T) {
+	for _, groups := range [][][]int{
+		{{0}},
+		{{0, 1, 2, 3}},
+		contiguousGroups(4, 2),
+		contiguousGroups(3, 3),
+		{{0, 1, 2}, {3, 4}},               // uneven populations
+		{{0, 2, 4, 6}, {1, 3, 5, 7}},      // interleaved
+		{{0}, {1, 2, 3, 4, 5, 6, 7}, {8}}, // singletons beside a large node
+	} {
+		s, err := HierarchicalAllreduce(groups)
+		if err != nil {
+			t.Fatalf("%v: %v", groups, err)
+		}
+		if err := s.VerifyAllreduce(); err != nil {
+			t.Errorf("%v: %v", groups, err)
+		}
+	}
+	if _, err := HierarchicalAllreduce([][]int{{0}, {0}}); err == nil {
+		t.Error("overlapping groups accepted")
 	}
 }

@@ -316,7 +316,7 @@ func TestHierarchicalCheaperThanFlatForSmall(t *testing.T) {
 	p := 4096
 	layout := topology.MustLayout(m.Cluster, p, topology.BlockBunch)
 	groups := sched.Groups(layout, m.Cluster.NodeOf)
-	hier, err := sched.Hierarchical(groups, sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRecursiveDoubling})
+	hier, err := sched.Hierarchical(groups, nil, sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRecursiveDoubling})
 	if err != nil {
 		t.Fatal(err)
 	}

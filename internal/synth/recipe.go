@@ -159,7 +159,7 @@ func (r Recipe) base(f Family, p int) (*sched.Schedule, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sched.Hierarchical(groups, sched.HierarchicalConfig{Intra: intra, Inter: inter})
+		s, err := sched.Hierarchical(groups, nil, sched.HierarchicalConfig{Intra: intra, Inter: inter})
 		if err != nil {
 			return nil, err
 		}
