@@ -288,10 +288,6 @@ func TestTuning(t *testing.T) {
 	if got := custom.Select(AlgAuto, 64, 8192); got != AlgRing {
 		t.Errorf("above raised threshold: %v", got)
 	}
-	bruck := Tuning{PreferBruck: true}
-	if got := bruck.Select(AlgAuto, 64, 128); got != AlgBruck {
-		t.Errorf("PreferBruck ignored: %v", got)
-	}
 	var zero Tuning // zero value must behave like the defaults
 	if got := zero.Select(AlgAuto, 64, 512); got != Select(AlgAuto, 64, 512) {
 		t.Errorf("zero tuning diverges from defaults: %v", got)

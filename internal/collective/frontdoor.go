@@ -65,20 +65,13 @@ func rootedProgram(c *mpi.Comm, f sched.FamilyID, payloadBytes, root int) (*sche
 
 // synthProgram consults the world's synthesized selection table for family f
 // at the given payload. root filters rooted programs (-1 accepts any): a
-// table entry rooted elsewhere than the caller's root cannot serve the call
-// and falls through to the hand-coded selection.
+// table entry rooted elsewhere than the caller's root cannot serve the call,
+// counts as a table miss and falls through to the hand-coded selection.
 func synthProgram(c *mpi.Comm, f synth.Family, payloadBytes, root int) (*sched.Program, bool) {
 	if payloadBytes <= 0 {
 		return nil, false
 	}
-	prog, ok := configOf(c).Synth.Program(f, c.Size(), payloadBytes)
-	if !ok {
-		return nil, false
-	}
-	if root >= 0 && prog.Root != root {
-		return nil, false
-	}
-	return prog, true
+	return configOf(c).Synth.ProgramAt(f, c.Size(), payloadBytes, root)
 }
 
 // baselineProgram resolves the family's hand-coded baseline selection for p

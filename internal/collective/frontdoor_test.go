@@ -170,9 +170,10 @@ func TestFrontDoorsByteIdentical(t *testing.T) {
 }
 
 // TestFrontDoorsOffRootFallBack: the synthesized programs are rooted at
-// rank 0, so a broadcast/gather/scatter rooted elsewhere misses the table,
-// falls back to the family baseline compiled at its root — executed by the
-// schedule executor, not a loop — and still delivers correct bytes.
+// rank 0, so a broadcast/gather/scatter rooted elsewhere misses the table
+// (counted as a miss, not a hit), falls back to the family baseline compiled
+// at its root — executed by the schedule executor, not a loop — and still
+// delivers correct bytes.
 func TestFrontDoorsOffRootFallBack(t *testing.T) {
 	const p, blk, root = 8, 256, 3
 	tab := &synth.Table{Topology: "frontdoor-test"}
@@ -185,6 +186,7 @@ func TestFrontDoorsOffRootFallBack(t *testing.T) {
 	for i, b := range builders {
 		before[i] = scheduleExecutions.With("algorithm", b).Value()
 	}
+	hits0, miss0 := synth.TableCounters()
 
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
@@ -254,6 +256,13 @@ func TestFrontDoorsOffRootFallBack(t *testing.T) {
 		if got := scheduleExecutions.With("algorithm", b).Value() - before[i]; got != p {
 			t.Errorf("schedule_executions_total{algorithm=%q} advanced by %d, want %d", b, got, p)
 		}
+	}
+	hits1, miss1 := synth.TableCounters()
+	if hits1 != hits0 {
+		t.Errorf("synth_table_hits_total advanced by %d for entries rooted elsewhere, want 0", hits1-hits0)
+	}
+	if want := uint64(len(builders) * p); miss1-miss0 != want {
+		t.Errorf("synth_table_misses_total advanced by %d, want %d", miss1-miss0, want)
 	}
 }
 

@@ -59,9 +59,6 @@ type Tuning struct {
 	// RingThreshold is the per-process byte size above which the ring
 	// algorithm is used (default RingThresholdBytes).
 	RingThreshold int
-	// PreferBruck selects Bruck over recursive doubling even for
-	// power-of-two communicators below the ring threshold.
-	PreferBruck bool
 	// RabenseifnerThreshold is the buffer size at and above which Allreduce
 	// prefers the reduce-scatter + allgather schedule when the communicator
 	// shape admits it (default RabenseifnerThresholdBytes).
@@ -88,7 +85,7 @@ func DefaultTuning() Tuning {
 
 // Select resolves alg for p ranks and blkBytes-per-process messages under t:
 // ring above the threshold; below it, recursive doubling on power-of-two
-// communicators (unless PreferBruck) and Bruck otherwise.
+// communicators and Bruck otherwise.
 func (t Tuning) Select(a Algorithm, p, blkBytes int) Algorithm {
 	if a != AlgAuto {
 		return a
@@ -100,7 +97,7 @@ func (t Tuning) Select(a Algorithm, p, blkBytes int) Algorithm {
 	if blkBytes > threshold {
 		return AlgRing
 	}
-	if p&(p-1) == 0 && !t.PreferBruck {
+	if p&(p-1) == 0 {
 		return AlgRecursiveDoubling
 	}
 	return AlgBruck

@@ -61,17 +61,14 @@ func (m *Machine) Explain(s *sched.Schedule, layout []int, blockBytes int) (*Bre
 // of the result are positions in prog.Stages (the pricing view), the same
 // index space sched.Program.PriceStageMap and obs profiles bin against.
 func (m *Machine) ExplainProgram(prog *sched.Program, layout []int, blockBytes int) (*Breakdown, error) {
-	if _, err := m.PriceProgram(prog, layout, blockBytes); err != nil {
+	if err := checkBlockBytes(blockBytes); err != nil {
 		return nil, err
 	}
 	out := &Breakdown{}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	for idx := range prog.Stages {
-		st := &prog.Stages[idx]
-		t, err := m.priceStage(sc, st.Transfers, layout, blockBytes)
+	err := m.stagePass(prog, layout, func(sc *priceScratch, idx int, st *sched.ProgStage) error {
+		t, err := m.stageTime(sc, st.Transfers, layout, blockBytes)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var bytes int64
 		for i := range st.Transfers {
@@ -86,10 +83,12 @@ func (m *Machine) ExplainProgram(prog *sched.Program, layout []int, blockBytes i
 			BytesMoved: bytes,
 		})
 		out.Total += t * float64(st.Repeat)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if prog.PostCopyBlocks > 0 {
-		out.PostCopySeconds = float64(prog.PostCopyBlocks) * float64(blockBytes) / m.Params.MemCopy
-		out.Total += out.PostCopySeconds
-	}
+	out.PostCopySeconds = postCopySeconds(prog.PostCopyBlocks, float64(blockBytes), m.Params.MemCopy)
+	out.Total += out.PostCopySeconds
 	return out, nil
 }

@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -31,8 +34,8 @@ func equivMachines(t testing.TB) map[string]*Machine {
 	}
 }
 
-// equivPrograms compiles the allgather algorithm family at size p.
-func equivPrograms(t testing.TB, p int) map[string]*sched.Program {
+// equivSchedules builds the allgather algorithm family at size p.
+func equivSchedules(t testing.TB, p int) map[string]*sched.Schedule {
 	t.Helper()
 	gens := map[string]func(int) (*sched.Schedule, error){
 		"ring":               sched.Ring,
@@ -41,12 +44,22 @@ func equivPrograms(t testing.TB, p int) map[string]*sched.Program {
 		"rsag":               sched.ReduceScatterAllgather,
 		"neighbor-exchange":  sched.NeighborExchange,
 	}
-	progs := make(map[string]*sched.Program, len(gens))
+	scheds := make(map[string]*sched.Schedule, len(gens))
 	for name, gen := range gens {
 		s, err := gen(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		scheds[name] = s
+	}
+	return scheds
+}
+
+// equivPrograms compiles the allgather algorithm family at size p.
+func equivPrograms(t testing.TB, p int) map[string]*sched.Program {
+	t.Helper()
+	progs := make(map[string]*sched.Program)
+	for name, s := range equivSchedules(t, p) {
 		prog, err := sched.CompileCached(s)
 		if err != nil {
 			t.Fatal(err)
@@ -56,69 +69,274 @@ func equivPrograms(t testing.TB, p int) map[string]*sched.Program {
 	return progs
 }
 
-// TestSparseDensePriceEquivalence pins the sparse epoch-stamped pricing
-// bit-identical (plain float equality, no tolerance) to the dense map-based
-// reference across network classes, algorithms, layouts and message sizes.
-// The scratch is reused across all cases of a machine — exactly the pooled
-// steady state PriceProgram runs in — so stale-epoch aliasing between
-// unrelated pricings would be caught here.
-func TestSparseDensePriceEquivalence(t *testing.T) {
+// denseDurations is the dense reference accounting, the oracle the sparse
+// production path (sparse.go) is pinned bit-identical against: it keeps the
+// stage's loads in maps and routes every inter-node transfer twice, sharing
+// no code with the sparse path, and performs the same arithmetic in the same
+// order. It returns every transfer's duration in one stage execution.
+func denseDurations(t testing.TB, m *Machine, transfers []sched.Transfer, layout []int, blockBytes int) []float64 {
+	t.Helper()
+	c, p := m.Cluster, &m.Params
+	send, recv, socketMem := map[int]int{}, map[int]int{}, map[int]int{}
+	netLinks := map[topology.DirLink]int{}
+	qpi := map[[2]int]int{} // (node, sending local socket)
+	localSocket := func(core int) int { return (core % c.CoresPerNode()) / c.CoresPerSocket }
+	var route []topology.DirLink
+	for _, tr := range transfers {
+		src, dst := layout[tr.Src], layout[tr.Dst]
+		send[src]++
+		recv[dst]++
+		srcNode, dstNode := c.NodeOf(src), c.NodeOf(dst)
+		switch {
+		case srcNode != dstNode:
+			if c.Net == nil {
+				continue
+			}
+			route = c.Net.RouteDir(route[:0], srcNode, dstNode)
+			for _, dl := range route {
+				netLinks[dl]++
+			}
+		case !c.SameSocket(src, dst):
+			qpi[[2]int{srcNode, localSocket(src)}]++
+			socketMem[c.SocketOf(src)]++
+			socketMem[c.SocketOf(dst)]++
+		default:
+			socketMem[c.SocketOf(src)]++
+		}
+	}
+
+	durations := make([]float64, len(transfers))
+	for i, tr := range transfers {
+		src, dst := layout[tr.Src], layout[tr.Dst]
+		bytes := float64(tr.N) * float64(blockBytes)
+		endpoint := send[src]
+		if r := recv[dst]; r > endpoint {
+			endpoint = r
+		}
+		srcNode, dstNode := c.NodeOf(src), c.NodeOf(dst)
+		var alpha, streamBeta float64
+		maxInv := 0.0
+		bump := func(inv float64) {
+			if inv > maxInv {
+				maxInv = inv
+			}
+		}
+		switch {
+		case srcNode != dstNode:
+			hops := 2
+			if c.Net != nil {
+				hops = c.Net.Hops(srcNode, dstNode)
+			}
+			alpha = p.AlphaNet + p.AlphaPerHop*float64(hops)
+			streamBeta = 1 / p.StreamNet
+			if c.Net != nil {
+				route = c.Net.RouteDir(route[:0], srcNode, dstNode)
+				for _, dl := range route {
+					bump(float64(netLinks[dl]) / (p.CapNetPerCable * float64(c.Net.Multiplicity(dl.Link))))
+				}
+			}
+		case !c.SameSocket(src, dst):
+			alpha = p.AlphaQPI
+			streamBeta = 1 / p.StreamQPI
+			bump(float64(qpi[[2]int{srcNode, localSocket(src)}]) / p.CapQPIDir)
+			bump(float64(socketMem[c.SocketOf(src)]) / p.CapSocketMem)
+			bump(float64(socketMem[c.SocketOf(dst)]) / p.CapSocketMem)
+		case src == dst:
+			t.Fatalf("transfer between rank %d and %d lands on one core", tr.Src, tr.Dst)
+		default:
+			alpha = p.AlphaShm
+			streamBeta = 1 / p.StreamShm
+			bump(float64(socketMem[c.SocketOf(src)]) / p.CapSocketMem)
+		}
+		bump(streamBeta * float64(endpoint))
+		durations[i] = alpha + bytes*maxInv
+	}
+	return durations
+}
+
+// denseStageTime is the barrier-model time of one stage execution: the
+// worst transfer duration.
+func denseStageTime(t testing.TB, m *Machine, transfers []sched.Transfer, layout []int, blockBytes int) float64 {
+	t.Helper()
+	worst := 0.0
+	for _, d := range denseDurations(t, m, transfers, layout, blockBytes) {
+		worst = max(worst, d)
+	}
+	return worst
+}
+
+// densePostCopy is the reference local shuffle epilogue.
+func densePostCopy(m *Machine, blocks, blockBytes int) float64 {
+	if blocks > 0 {
+		return float64(blocks) * float64(blockBytes) / m.Params.MemCopy
+	}
+	return 0
+}
+
+// densePriceProgram mirrors PriceProgram on the dense accounting.
+func densePriceProgram(t testing.TB, m *Machine, prog *sched.Program, layout []int, blockBytes int) float64 {
+	t.Helper()
+	if err := topology.ValidateLayout(m.Cluster, layout); err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for _, st := range prog.Stages {
+		total += denseStageTime(t, m, st.Transfers, layout, blockBytes) * float64(st.Repeat)
+	}
+	return total + densePostCopy(m, prog.PostCopyBlocks, blockBytes)
+}
+
+// densePricePipelined mirrors PricePipelined on the dense accounting,
+// walking the schedule's own Pre and main stages rather than the compiled
+// program: each rank starts a transfer once both endpoints are ready.
+func densePricePipelined(t testing.TB, m *Machine, s *sched.Schedule, layout []int, blockBytes int) float64 {
+	t.Helper()
+	ready := make([]float64, s.P)
+	var snapshot []float64
+	for _, stages := range [][]sched.Stage{s.Pre, s.Stages} {
+		for _, st := range stages {
+			durations := denseDurations(t, m, st.Transfers, layout, blockBytes)
+			for rep := 0; rep < max(st.Repeat, 1); rep++ {
+				snapshot = append(snapshot[:0], ready...)
+				for i, tr := range st.Transfers {
+					comp := max(snapshot[tr.Src], snapshot[tr.Dst]) + durations[i]
+					ready[tr.Src] = max(ready[tr.Src], comp)
+					ready[tr.Dst] = max(ready[tr.Dst], comp)
+				}
+			}
+		}
+	}
+	return slices.Max(ready) + densePostCopy(m, s.PostCopyBlocks, blockBytes)
+}
+
+// equivCase is one point of the equivalence grid.
+type equivCase struct {
+	machine    string // key into equivMachines
+	m          *Machine
+	s          *sched.Schedule
+	prog       *sched.Program
+	kind       topology.LayoutKind
+	layout     []int
+	blockBytes int
+}
+
+func (c equivCase) String() string {
+	return fmt.Sprintf("%s/%s/%v/%dB", c.machine, c.prog.Name, c.kind, c.blockBytes)
+}
+
+// forEquivCase runs check over the equivalence grid: every network class,
+// algorithm at up to maxP ranks, layout and block size. Each machine's
+// scratch is reused across all its cases — exactly the pooled steady state
+// pricing runs in — so stale-epoch aliasing between unrelated pricings would
+// be caught.
+func forEquivCase(t *testing.T, maxP int, check func(c equivCase)) {
 	layouts := []topology.LayoutKind{topology.BlockBunch, topology.BlockScatter, topology.CyclicBunch}
 	for mname, m := range equivMachines(t) {
-		p := m.Cluster.TotalCores() / 2 // half occupancy exercises layout spread
-		if p > 512 {
-			p = 512
-		}
-		for pname, prog := range equivPrograms(t, p) {
+		p := min(m.Cluster.TotalCores()/2, maxP) // half occupancy exercises layout spread
+		for _, s := range equivSchedules(t, p) {
+			prog, err := sched.CompileCached(s)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, kind := range layouts {
 				layout := topology.MustLayout(m.Cluster, p, kind)
 				for _, blockBytes := range []int{64, 64 * 1024} {
-					name := fmt.Sprintf("%s/%s/%v/%dB", mname, pname, kind, blockBytes)
-					sparse, err := m.PriceProgram(prog, layout, blockBytes)
-					if err != nil {
-						t.Fatalf("%s: sparse: %v", name, err)
-					}
-					dense, err := m.priceProgramDense(prog, layout, blockBytes)
-					if err != nil {
-						t.Fatalf("%s: dense: %v", name, err)
-					}
-					if sparse != dense {
-						t.Errorf("%s: sparse price %.17g differs from dense %.17g", name, sparse, dense)
-					}
+					check(equivCase{mname, m, s, prog, kind, layout, blockBytes})
 				}
 			}
 		}
 	}
 }
 
-// TestSparseDenseExplainEquivalence checks the per-stage breakdown path,
-// which shares priceStage with PriceProgram, against the dense stage prices.
-func TestSparseDenseExplainEquivalence(t *testing.T) {
-	m := gpcMachine(t)
-	const p, blockBytes = 256, 4096
-	s, err := sched.NeighborExchange(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout := topology.MustLayout(m.Cluster, p, topology.CyclicBunch)
-	bd, err := m.Explain(s, layout, blockBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := sched.CompileCached(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bd.Stages) != len(prog.Stages) {
-		t.Fatalf("breakdown covers %d stages, program has %d", len(bd.Stages), len(prog.Stages))
-	}
-	for i, st := range bd.Stages {
-		want, err := m.priceStageDense(prog.Stages[i].Transfers, layout, blockBytes)
+// TestSparseDensePriceEquivalence pins PriceProgram bit-identical (plain
+// float equality, no tolerance) to the dense reference across the grid.
+func TestSparseDensePriceEquivalence(t *testing.T) {
+	forEquivCase(t, 512, func(c equivCase) {
+		sparse, err := c.m.PriceProgram(c.prog, c.layout, c.blockBytes)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v: %v", c, err)
 		}
-		if st.Seconds != want {
-			t.Errorf("stage %d: sparse %.17g differs from dense %.17g", i, st.Seconds, want)
+		if dense := densePriceProgram(t, c.m, c.prog, c.layout, c.blockBytes); sparse != dense {
+			t.Errorf("%v: sparse price %.17g differs from dense %.17g", c, sparse, dense)
+		}
+	})
+}
+
+// TestSparseDensePipelinedEquivalence pins PricePipelined, which walks the
+// compiled program's stages, bit-identical to the dense reference walking
+// the schedule's stages.
+func TestSparseDensePipelinedEquivalence(t *testing.T) {
+	forEquivCase(t, 512, func(c equivCase) {
+		sparse, err := c.m.PricePipelined(c.s, c.layout, c.blockBytes)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		if dense := densePricePipelined(t, c.m, c.s, c.layout, c.blockBytes); sparse != dense {
+			t.Errorf("%v: sparse pipelined price %.17g differs from dense %.17g", c, sparse, dense)
+		}
+	})
+}
+
+// TestSparseDenseExplainEquivalence checks every stage of the breakdown
+// against the dense stage prices across the grid.
+func TestSparseDenseExplainEquivalence(t *testing.T) {
+	forEquivCase(t, 512, func(c equivCase) {
+		bd, err := c.m.ExplainProgram(c.prog, c.layout, c.blockBytes)
+		if err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		if len(bd.Stages) != len(c.prog.Stages) {
+			t.Fatalf("%v: breakdown covers %d stages, program has %d", c, len(bd.Stages), len(c.prog.Stages))
+		}
+		for i, st := range bd.Stages {
+			if want := denseStageTime(t, c.m, c.prog.Stages[i].Transfers, c.layout, c.blockBytes); st.Seconds != want {
+				t.Errorf("%v: stage %d: sparse %.17g differs from dense %.17g", c, i, st.Seconds, want)
+			}
+		}
+	})
+}
+
+// TestConcurrentPricing prices a 64-rank grid from one goroutine per case on
+// one Machine per network class — the way mapd's workers share a machine
+// and its pooled scratch — through every entry point, and requires each
+// result == a serial run on separate machines.
+func TestConcurrentPricing(t *testing.T) {
+	priceAll := func(m *Machine, c equivCase) [4]float64 {
+		pp, err := m.Profile(c.prog, c.layout)
+		if err != nil {
+			t.Errorf("%v: %v", c, err)
+			return [4]float64{}
+		}
+		prof, err1 := pp.Price(c.blockBytes)
+		price, err2 := m.PriceProgram(c.prog, c.layout, c.blockBytes)
+		bd, err3 := m.ExplainProgram(c.prog, c.layout, c.blockBytes)
+		pipe, err4 := m.PricePipelined(c.s, c.layout, c.blockBytes)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			t.Errorf("%v: %v", c, err)
+			return [4]float64{}
+		}
+		return [4]float64{price, prof, bd.Total, pipe}
+	}
+	var cases []equivCase
+	var want [][4]float64
+	forEquivCase(t, 64, func(c equivCase) {
+		cases = append(cases, c)
+		want = append(want, priceAll(c.m, c))
+	})
+	shared := equivMachines(t)
+	got := make([][4]float64, len(cases))
+	var wg sync.WaitGroup
+	for i, c := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = priceAll(shared[c.machine], c)
+		}()
+	}
+	wg.Wait()
+	for i, c := range cases {
+		if got[i] != want[i] {
+			t.Errorf("%v: concurrent prices %v differ from serial %v", c, got[i], want[i])
 		}
 	}
 }
@@ -173,37 +391,25 @@ func TestPriceProgramRingP65536(t *testing.T) {
 }
 
 // TestPriceStageAllocs extends the AllocsPerRun discipline to the pricing
-// hot loop: with a warm scratch, pricing a stage allocates nothing.
+// hot path: a whole warm PriceProgram call — layout validation and every
+// stage of the pass — allocates nothing.
 func TestPriceStageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow state allocates on map operations")
 	}
 	m := gpcMachine(t)
 	const p, blockBytes = 512, 4096
-	s, err := sched.Ring(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := sched.CompileCached(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	layout := topology.MustLayout(m.Cluster, p, topology.CyclicBunch)
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	transfers := prog.Stages[0].Transfers
-	for i := 0; i < 3; i++ { // warm the route and link-id caches
-		if _, err := m.priceStage(sc, transfers, layout, blockBytes); err != nil {
-			t.Fatal(err)
+	for _, prog := range equivPrograms(t, p) {
+		price := func() {
+			if _, err := m.PriceProgram(prog, layout, blockBytes); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := m.priceStage(sc, transfers, layout, blockBytes); err != nil {
-			t.Fatal(err)
+		price() // warm the pool and the route and link-id caches
+		if avg := testing.AllocsPerRun(20, price); avg > 0 {
+			t.Errorf("warm PriceProgram(%s) allocates %.2f times per call, want 0", prog.Name, avg)
 		}
-	})
-	if avg > 0 {
-		t.Errorf("warm priceStage allocates %.2f times per call, want 0", avg)
 	}
 }
 

@@ -18,27 +18,19 @@ func (m *Machine) MaxStageLinkLoads(prog *sched.Program, layout []int) ([]int, e
 	if m.Cluster.Net == nil {
 		return nil, fmt.Errorf("simnet: cluster has no network model to account links on")
 	}
-	if len(layout) < prog.P {
-		return nil, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
-	}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	if err := sc.validateLayout(m.Cluster, layout); err != nil {
-		return nil, err
-	}
 	out := make([]int, len(prog.Stages))
-	for i := range prog.Stages {
-		m.aggregateStage(sc, prog.Stages[i].Transfers, layout)
-		ep := sc.epoch
-		worst := 0
+	err := m.stagePass(prog, layout, func(sc *priceScratch, idx int, _ *sched.ProgStage) error {
 		// The intern table covers every link any stage so far has touched;
 		// entries from other stages carry stale epochs and read as zero.
 		for id := range sc.linkLoad {
-			if sc.linkEpoch[id] == ep && int(sc.linkLoad[id]) > worst {
-				worst = int(sc.linkLoad[id])
+			if sc.linkEpoch[id] == sc.epoch && int(sc.linkLoad[id]) > out[idx] {
+				out[idx] = int(sc.linkLoad[id])
 			}
 		}
-		out[i] = worst
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

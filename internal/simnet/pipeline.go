@@ -1,8 +1,9 @@
 package simnet
 
 import (
+	"slices"
+
 	"repro/internal/sched"
-	"repro/internal/topology"
 )
 
 // PricePipelined prices a schedule without the global stage barrier that
@@ -17,73 +18,38 @@ import (
 //
 // The result is never larger than Price's for the same inputs.
 func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int) (float64, error) {
-	if err := s.Validate(); err != nil {
+	prog, err := sched.CompileCached(s)
+	if err != nil {
 		return 0, err
 	}
-	if _, err := m.Price(s, layout, blockBytes); err != nil {
-		return 0, err // reuse Price's argument validation
+	if err := checkBlockBytes(blockBytes); err != nil {
+		return 0, err
 	}
-	ready := make([]float64, s.P)
-	var snapshot []float64
-	for _, stages := range [][]sched.Stage{s.Pre, s.Stages} {
-		for i := range stages {
-			st := &stages[i]
-			if len(st.Transfers) == 0 {
-				continue
-			}
-			// Per-transfer durations are repeat-invariant: compute once.
-			durations, err := m.transferDurations(st.Transfers, layout, blockBytes)
+	ready := make([]float64, prog.P)
+	var snapshot, durations []float64
+	err = m.stagePass(prog, layout, func(sc *priceScratch, _ int, st *sched.ProgStage) error {
+		// Per-transfer durations are repeat-invariant: compute once.
+		durations = durations[:0]
+		for i := range st.Transfers {
+			tr := &st.Transfers[i]
+			alpha, inv, err := m.transferLineSparse(sc, tr, layout)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			reps := st.Repeat
-			if reps < 1 {
-				reps = 1
-			}
-			for rep := 0; rep < reps; rep++ {
-				snapshot = append(snapshot[:0], ready...)
-				for ti, tr := range st.Transfers {
-					start := snapshot[tr.Src]
-					if snapshot[tr.Dst] > start {
-						start = snapshot[tr.Dst]
-					}
-					comp := start + durations[ti]
-					if comp > ready[tr.Src] {
-						ready[tr.Src] = comp
-					}
-					if comp > ready[tr.Dst] {
-						ready[tr.Dst] = comp
-					}
-				}
+			durations = append(durations, lineTime(alpha, float64(tr.N), inv, float64(blockBytes)))
+		}
+		for rep := 0; rep < st.Repeat; rep++ {
+			snapshot = append(snapshot[:0], ready...)
+			for ti, tr := range st.Transfers {
+				comp := max(snapshot[tr.Src], snapshot[tr.Dst]) + durations[ti]
+				ready[tr.Src] = max(ready[tr.Src], comp)
+				ready[tr.Dst] = max(ready[tr.Dst], comp)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	total := 0.0
-	for _, r := range ready {
-		if r > total {
-			total = r
-		}
-	}
-	if s.PostCopyBlocks > 0 {
-		total += float64(s.PostCopyBlocks) * float64(blockBytes) / m.Params.MemCopy
-	}
-	return total, nil
-}
-
-// transferDurations prices every transfer of one stage under the stage's
-// aggregated loads. The ablation is not on any hot path, so it stays on the
-// dense reference accounting.
-func (m *Machine) transferDurations(transfers []sched.Transfer, layout []int, blockBytes int) ([]float64, error) {
-	loads := newStageLoads()
-	m.aggregateLoads(transfers, layout, loads)
-	durations := make([]float64, len(transfers))
-	var routeBuf []topology.DirLink
-	for i := range transfers {
-		t, err := m.transferTimeDense(&transfers[i], layout, blockBytes, loads, &routeBuf)
-		if err != nil {
-			return nil, err
-		}
-		durations[i] = t
-	}
-	return durations, nil
+	return slices.Max(ready) + postCopySeconds(prog.PostCopyBlocks, float64(blockBytes), m.Params.MemCopy), nil
 }

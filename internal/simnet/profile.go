@@ -13,11 +13,7 @@
 // for bit, and the equivalence test enforces that.
 package simnet
 
-import (
-	"fmt"
-
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // priceLine is one undominated transfer cost line: time(b) = alpha + (n*b)*inv.
 type priceLine struct {
@@ -36,42 +32,35 @@ type profileStage struct {
 // program under one layout. Build with Machine.Profile, evaluate any message
 // size with Price. The profile is immutable and safe for concurrent use.
 type PriceProfile struct {
-	stages  []profileStage
-	post    float64 // float64(prog.PostCopyBlocks), 0 when absent
-	memCopy float64
+	stages   []profileStage
+	postCopy int // prog.PostCopyBlocks
+	memCopy  float64
 }
 
 // Profile aggregates prog's per-stage contention under layout once and
 // returns the reusable summary. The cost is about one PriceProgram call;
 // every subsequent Price is a handful of multiply-adds per stage.
 func (m *Machine) Profile(prog *sched.Program, layout []int) (*PriceProfile, error) {
-	if len(layout) < prog.P {
-		return nil, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
-	}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	if err := sc.validateLayout(m.Cluster, layout); err != nil {
-		return nil, err
-	}
 	pp := &PriceProfile{
-		stages:  make([]profileStage, 0, len(prog.Stages)),
-		post:    float64(prog.PostCopyBlocks),
-		memCopy: m.Params.MemCopy,
+		stages:   make([]profileStage, 0, len(prog.Stages)),
+		postCopy: prog.PostCopyBlocks,
+		memCopy:  m.Params.MemCopy,
 	}
-	for i := range prog.Stages {
-		st := &prog.Stages[i]
+	err := m.stagePass(prog, layout, func(sc *priceScratch, _ int, st *sched.ProgStage) error {
 		ps := profileStage{repeat: float64(st.Repeat)}
-		if len(st.Transfers) > 0 {
-			m.aggregateStage(sc, st.Transfers, layout)
-			for j := range st.Transfers {
-				alpha, inv, err := m.transferLineSparse(sc, &st.Transfers[j], layout)
-				if err != nil {
-					return nil, err
-				}
-				ps.lines = addLine(ps.lines, priceLine{alpha: alpha, n: float64(st.Transfers[j].N), inv: inv})
+		for j := range st.Transfers {
+			tr := &st.Transfers[j]
+			alpha, inv, err := m.transferLineSparse(sc, tr, layout)
+			if err != nil {
+				return err
 			}
+			ps.lines = addLine(ps.lines, priceLine{alpha: alpha, n: float64(tr.N), inv: inv})
 		}
 		pp.stages = append(pp.stages, ps)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pp, nil
 }
@@ -101,25 +90,20 @@ func addLine(lines []priceLine, l priceLine) []priceLine {
 // operations in the same order, with the max taken over the surviving
 // envelope lines.
 func (pp *PriceProfile) Price(blockBytes int) (float64, error) {
-	if blockBytes <= 0 {
-		return 0, fmt.Errorf("simnet: block size must be positive, got %d", blockBytes)
+	if err := checkBlockBytes(blockBytes); err != nil {
+		return 0, err
 	}
 	b := float64(blockBytes)
 	total := 0.0
 	for i := range pp.stages {
 		st := &pp.stages[i]
 		worst := 0.0
-		for j := range st.lines {
-			l := &st.lines[j]
-			bytes := l.n * b
-			if t := l.alpha + bytes*l.inv; t > worst {
+		for _, l := range st.lines {
+			if t := lineTime(l.alpha, l.n, l.inv, b); t > worst {
 				worst = t
 			}
 		}
 		total += worst * st.repeat
 	}
-	if pp.post > 0 {
-		total += pp.post * b / pp.memCopy
-	}
-	return total, nil
+	return total + postCopySeconds(pp.postCopy, b, pp.memCopy), nil
 }

@@ -141,38 +141,35 @@ func (m *Machine) Price(s *sched.Schedule, layout []int, blockBytes int) (float6
 
 // PriceProgram prices a compiled program: the sum over its pricing-view
 // stages (Pre stages first) of the worst transfer time per execution, times
-// the stage's repeat count, plus the local shuffle epilogue. One pooled
-// pricing scratch (sparse.go) serves all stages, so steady-state pricing of
-// warm machines does not allocate beyond layout validation.
+// the stage's repeat count, plus the local shuffle epilogue. It runs on the
+// pooled sparse scratch (sparse.go), so steady-state pricing of warm machines
+// does not allocate.
 func (m *Machine) PriceProgram(prog *sched.Program, layout []int, blockBytes int) (float64, error) {
-	if len(layout) < prog.P {
-		return 0, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
-	}
-	if blockBytes <= 0 {
-		return 0, fmt.Errorf("simnet: block size must be positive, got %d", blockBytes)
-	}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	if err := sc.validateLayout(m.Cluster, layout); err != nil {
+	if err := checkBlockBytes(blockBytes); err != nil {
 		return 0, err
 	}
 	total := 0.0
-	for i := range prog.Stages {
-		st := &prog.Stages[i]
-		t, err := m.priceStage(sc, st.Transfers, layout, blockBytes)
-		if err != nil {
-			return 0, err
-		}
+	err := m.stagePass(prog, layout, func(sc *priceScratch, _ int, st *sched.ProgStage) error {
+		t, err := m.stageTime(sc, st.Transfers, layout, blockBytes)
 		total += t * float64(st.Repeat)
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	if prog.PostCopyBlocks > 0 {
-		// Every rank shuffles locally in parallel; one rank's copy time.
-		total += float64(prog.PostCopyBlocks) * float64(blockBytes) / m.Params.MemCopy
-	}
-	return total, nil
+	return total + postCopySeconds(prog.PostCopyBlocks, float64(blockBytes), m.Params.MemCopy), nil
 }
 
-// localSocket returns the within-node socket index of a core.
-func (m *Machine) localSocket(core int) int {
-	return (core % m.Cluster.CoresPerNode()) / m.Cluster.CoresPerSocket
+// checkBlockBytes rejects a non-positive block size.
+func checkBlockBytes(blockBytes int) error {
+	if blockBytes <= 0 {
+		return fmt.Errorf("simnet: block size must be positive, got %d", blockBytes)
+	}
+	return nil
+}
+
+// postCopySeconds prices the local shuffle epilogue of blocks blocks: every
+// rank shuffles in parallel, so it costs one rank's copy time.
+func postCopySeconds(blocks int, blockBytes, memCopy float64) float64 {
+	return float64(blocks) * blockBytes / memCopy
 }

@@ -1,25 +1,22 @@
-// Sparse stage pricing: the production backend of PriceProgram.
+// Sparse stage pricing: the one contention accounting behind every pricing
+// entry point.
 //
-// The dense reference (dense.go) allocates five maps per stage and walks
-// every route twice. The mapping heuristics price thousands of layouts and
-// the experiment drivers price schedules up to p = 65536, where per-stage
-// map churn dominates. The sparse path replaces the maps with flat
-// epoch-stamped load slices indexed by dense resource ids — global core,
-// global socket, interned network link — held in a priceScratch that one
-// PriceProgram call reuses across all stages and returns to a per-Machine
-// pool. A counter read whose stamp is not the current stage's epoch is
-// zero; starting a stage is a single epoch increment, not a clear of the
-// touched entries, so per-stage cost is O(transfers × route length)
-// regardless of machine size.
+// The mapping heuristics price thousands of layouts and the experiment
+// drivers price schedules up to p = 65536, so loads live in flat
+// epoch-stamped slices indexed by dense resource ids — global core, global
+// socket, interned network link — held in a priceScratch that one pricing
+// call reuses across all stages and returns to a per-Machine pool. A counter
+// whose stamp is not the current stage's epoch reads as zero, so starting a
+// stage is one epoch increment and per-stage cost is O(transfers × route
+// length) regardless of machine size.
 //
 // Routes are deterministic per (srcNode, dstNode) pair, so the scratch also
-// caches each pair's interned link-id list; a transfer's pricing pass reuses
-// the list its aggregation pass interned, and repeated stages (every ring
-// repeat, every heuristic probe of the same machine) never re-route at all.
+// caches each pair's interned link-id route: repeated stages (every ring
+// repeat, every heuristic probe of the same machine) never re-route.
 //
-// Every arithmetic step mirrors dense.go operation for operation — same
-// operands, same order — so prices are bit-identical to the reference; the
-// equivalence suite enforces that with float equality.
+// stagePass is the only loop over a program's stages; every pricing entry
+// point is a visitor of it. equivalence_test.go holds the map-based
+// reference accounting and pins the visitors bit-identical to it.
 package simnet
 
 import (
@@ -184,32 +181,34 @@ func (sc *priceScratch) routeIDs(net topology.Network, p *Params, srcNode, dstNo
 	return ids
 }
 
-// priceStage returns the completion time of one execution of a stage's
-// transfer list. The first pass aggregates every shared resource's load into
-// sc's epoch-stamped counters; the second prices each transfer against them.
-// Each route is computed at most once per machine, not twice per transfer.
-func (m *Machine) priceStage(sc *priceScratch, transfers []sched.Transfer, layout []int, blockBytes int) (float64, error) {
-	if len(transfers) == 0 {
-		return 0, nil
+// stagePass is the one pass over prog's pricing-view stages (Pre stages
+// first). It checks that layout covers the program, takes the pooled scratch,
+// validates the layout once, then per stage aggregates the shared-resource
+// loads into the scratch and hands the stage to visit, which reads them
+// through transferLineSparse or the link counters. A visit error ends the
+// pass.
+func (m *Machine) stagePass(prog *sched.Program, layout []int, visit func(sc *priceScratch, idx int, st *sched.ProgStage) error) error {
+	if len(layout) < prog.P {
+		return fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
 	}
-	m.aggregateStage(sc, transfers, layout)
-
-	worst := 0.0
-	for i := range transfers {
-		t, err := m.transferTimeSparse(sc, &transfers[i], layout, blockBytes)
-		if err != nil {
-			return 0, err
-		}
-		if t > worst {
-			worst = t
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	if err := sc.validateLayout(m.Cluster, layout); err != nil {
+		return err
+	}
+	for i := range prog.Stages {
+		st := &prog.Stages[i]
+		m.aggregateStage(sc, st.Transfers, layout)
+		if err := visit(sc, i, st); err != nil {
+			return err
 		}
 	}
-	return worst, nil
+	return nil
 }
 
 // aggregateStage opens a fresh epoch and accumulates every shared resource's
-// load for the stage's transfer list — the size-independent first pass of
-// priceStage, shared with Machine.Profile.
+// load for the stage's transfer list — the size-independent first half of
+// pricing a stage.
 func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, layout []int) {
 	sc.beginStage()
 	ep := sc.epoch
@@ -234,8 +233,8 @@ func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, l
 				}
 			}
 		case !c.SameSocket(src, dst):
-			// The dense reference keys QPI load by (node, sending local
-			// socket), which is exactly the sender's global socket index.
+			// QPI load is keyed by (node, sending local socket), which is
+			// exactly the sender's global socket index.
 			sc.qpiOut.inc(c.SocketOf(src), ep)
 			sc.sockMem.inc(c.SocketOf(src), ep)
 			sc.sockMem.inc(c.SocketOf(dst), ep)
@@ -245,16 +244,28 @@ func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, l
 	}
 }
 
-// transferTimeSparse prices one transfer under the stage's aggregated loads.
-// It performs the same floating-point operations as transferTimeDense, in
-// the same order, reading the epoch-stamped counters instead of maps.
-func (m *Machine) transferTimeSparse(sc *priceScratch, tr *sched.Transfer, layout []int, blockBytes int) (float64, error) {
-	alpha, maxInv, err := m.transferLineSparse(sc, tr, layout)
-	if err != nil {
-		return 0, err
+// stageTime returns the completion time of one execution of the aggregated
+// stage at blockBytes: the worst of its transfers' times.
+func (m *Machine) stageTime(sc *priceScratch, transfers []sched.Transfer, layout []int, blockBytes int) (float64, error) {
+	worst := 0.0
+	for i := range transfers {
+		tr := &transfers[i]
+		alpha, inv, err := m.transferLineSparse(sc, tr, layout)
+		if err != nil {
+			return 0, err
+		}
+		if t := lineTime(alpha, float64(tr.N), inv, float64(blockBytes)); t > worst {
+			worst = t
+		}
 	}
-	bytes := float64(tr.N) * float64(blockBytes)
-	return alpha + bytes*maxInv, nil
+	return worst, nil
+}
+
+// lineTime evaluates a transfer cost line: alpha + (n*blockBytes)*inv, for
+// n blocks of blockBytes bytes. Every price goes through it, so the floating
+// point operations and their order are the same on every path.
+func lineTime(alpha, n, inv, blockBytes float64) float64 {
+	return alpha + n*blockBytes*inv
 }
 
 // transferLineSparse computes the size-independent cost line of one transfer

@@ -280,14 +280,23 @@ func (s *searcher) evaluate(r Recipe, prune bool) (*Candidate, error) {
 			return nil, nil
 		}
 	}
-	price, err := s.m.Price(sch, s.layout, blockBytes)
+	// One contention aggregation prices both the target payload and the
+	// one-byte latency point.
+	prog, err := sched.CompileCached(sch)
+	var prof *simnet.PriceProfile
+	if err == nil {
+		prof, err = s.m.Profile(prog, s.layout)
+	}
+	var price, lat float64
+	if err == nil {
+		price, err = prof.Price(blockBytes)
+	}
 	if err != nil {
 		s.prunedShape++
 		synthPrunedShape.Inc()
 		return nil, err
 	}
-	lat, err := s.m.Price(sch, s.layout, 1)
-	if err != nil {
+	if lat, err = prof.Price(1); err != nil {
 		return nil, err
 	}
 	c := &Candidate{Recipe: r, Schedule: sch, Fingerprint: fp, Price: price, LatPrice: lat}

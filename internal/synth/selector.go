@@ -46,11 +46,18 @@ func (s *Selector) Table() *Table {
 }
 
 // Program returns the synthesized program covering (family, rank count,
-// payload), or false when the table has no entry, the stored recipe no
-// longer reproduces its fingerprint, or the payload does not divide the
-// schedule's block space. Hits and misses are counted on the synth_table_*
-// metrics.
+// payload) at any root; see ProgramAt.
 func (s *Selector) Program(f Family, p, payloadBytes int) (*sched.Program, bool) {
+	return s.ProgramAt(f, p, payloadBytes, -1)
+}
+
+// ProgramAt returns the synthesized program covering (family, rank count,
+// payload) rooted at root (-1 accepts any root, as unrooted families do), or
+// false when the table has no entry, the stored recipe no longer reproduces
+// its fingerprint, the entry is rooted elsewhere, or the payload does not
+// divide the schedule's block space. Hits and misses are counted on the
+// synth_table_* metrics, so an entry the caller cannot use counts as a miss.
+func (s *Selector) ProgramAt(f Family, p, payloadBytes, root int) (*sched.Program, bool) {
 	if s == nil {
 		return nil, false
 	}
@@ -68,7 +75,7 @@ func (s *Selector) Program(f Family, p, payloadBytes int) (*sched.Program, bool)
 		s.cache[key] = ce
 	}
 	s.mu.Unlock()
-	if ce.err != nil {
+	if ce.err != nil || (root >= 0 && ce.prog.Root != root) {
 		synthTableMisses.Inc()
 		return nil, false
 	}
